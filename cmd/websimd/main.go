@@ -57,9 +57,14 @@
 // unattended by a leader-follower processor pool. -incident-max-turns
 // bounds each leader's self-learning rounds before the group escalates.
 // When -snapshots is set, the queue persists to incidents.json in the
-// same directory and survives restarts.
+// same directory and survives restarts: an append-only journal that
+// gains one JSON line per filing, reopen and terminal transition, and
+// that startup replays and compacts to one line per incident. The
+// journal belongs to one process: -gateway -spawn N > 1 rejects
+// -incident-workers, and backends given to -backends must not share a
+// -snapshots directory while running the pipeline.
 //
-//	POST   /v1/incidents               file an incident
+//	POST   /v1/incidents              file an incident
 //	GET    /v1/incidents               list incidents (paginated envelope)
 //	GET    /v1/incidents/{id}          full record incl. event log
 //	POST   /v1/incidents/{id}/resolve  manually resolve
@@ -121,7 +126,7 @@ func main() {
 	spawn := flag.Int("spawn", 0, "spawn N child websimd backends for -gateway")
 	flag.Parse()
 
-	if err := validateFlags(*shards, *gatewayMode, *backends, *spawn, *incidentSim, *maxInFlight); err != nil {
+	if err := validateFlags(*shards, *gatewayMode, *backends, *spawn, *incidentSim, *incidentWorkers, *maxInFlight); err != nil {
 		fmt.Fprintf(os.Stderr, "websimd: %v\n", err)
 		os.Exit(2)
 	}
@@ -221,7 +226,7 @@ func modelName(m string) string {
 
 // validateFlags rejects flag combinations that would start a broken
 // process. All of these exit 2 before anything listens.
-func validateFlags(shards int, gatewayMode bool, backends string, spawn int, incidentSim bool, maxInFlight int) error {
+func validateFlags(shards int, gatewayMode bool, backends string, spawn int, incidentSim bool, incidentWorkers, maxInFlight int) error {
 	// -shards 0 is the auto default, but saying it explicitly is a
 	// contradiction: the user asked for zero lock shards.
 	explicitShards := false
@@ -253,6 +258,12 @@ func validateFlags(shards int, gatewayMode bool, backends string, spawn int, inc
 	}
 	if backends != "" && spawn > 0 {
 		return fmt.Errorf("-backends and -spawn are mutually exclusive")
+	}
+	if spawn > 1 && incidentWorkers > 0 {
+		// Spawned backends share one snapshot dir, so they would share one
+		// incidents.json journal, and each restart's compaction would
+		// silently drop the other backends' later writes.
+		return fmt.Errorf("-spawn %d cannot run -incident-workers: the backends would share one incident journal", spawn)
 	}
 	if backends == "" && spawn == 0 {
 		return fmt.Errorf("-gateway needs -backends host:port,... or -spawn N")

@@ -15,7 +15,10 @@
 //
 // (with max-turns escalation when confidence never clears the
 // threshold), an append-only event log fed by the session stream
-// observer, and snapshot persistence alongside session snapshots.
+// observer, and journal persistence alongside session snapshots: each
+// filing, reopen and terminal transition appends one JSON line holding
+// the changed incident, and a restart replays the journal and compacts
+// it to one line per incident.
 // Determinism is the acceptance bar inherited from the rest of the
 // repo: with the sim backend and a fixed clock, a fixed incident batch
 // produces a byte-identical resolution set at any worker count,

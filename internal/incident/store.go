@@ -1,9 +1,14 @@
 package incident
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,10 +22,15 @@ type StoreConfig struct {
 	// means time.Now; tests inject a fixed clock so a drained batch is
 	// byte-identical run to run.
 	Clock func() time.Time
-	// Path, when set, persists the queue: File and every terminal
-	// transition (and reopen) rewrite the file atomically, and Load
-	// restores it. Non-terminal statuses load back as open — a claim
-	// held by a dead process must not strand its incident.
+	// Path, when set, persists the queue as an append-only JSON-lines
+	// journal: File, every terminal transition and every reopen append
+	// one line holding the changed incident with its event log. Load
+	// replays the journal (the last line per ID wins), then compacts it
+	// to one line per incident with a temp+rename. Non-terminal statuses
+	// load back as open — a claim held by a dead process must not strand
+	// its incident. A missing directory is created. One process owns the
+	// journal: another store's compaction would replace the file under
+	// this store's append handle.
 	Path string
 }
 
@@ -35,12 +45,16 @@ type Stats struct {
 	Resolved      int64 `json:"resolved"`
 	Escalated     int64 `json:"escalated"`
 	Reopened      int64 `json:"reopened"`
+	// PersistErrors counts journal writes that failed. The transition
+	// still succeeds in memory; the next persist rewrites the whole
+	// journal instead of appending to a possibly torn one.
+	PersistErrors int64 `json:"persist_errors"`
 }
 
 // Store owns the incident table: filings, atomic lifecycle
 // transitions (compare-and-swap on status, so two concurrent
 // processors can never both claim one incident), the append-only
-// per-incident event logs, and optional snapshot persistence.
+// per-incident event logs, and optional journal persistence.
 type Store struct {
 	mu        sync.Mutex
 	cfg       StoreConfig
@@ -50,6 +64,13 @@ type Store struct {
 	filed     int64
 	reopened  int64
 	onFile    func()
+
+	// journal is the append handle on cfg.Path; nil until the first
+	// compaction (Load, the first persist, or the persist after an
+	// error), which rewrites the whole file and reopens it.
+	journal       *os.File
+	dirty         []string // terminal incidents whose logs grew since their last line
+	persistErrors int64
 }
 
 // NewStore returns an empty store.
@@ -80,8 +101,12 @@ func (st *Store) File(f Filing) (Incident, error) {
 	st.mu.Lock()
 	id := f.ID
 	if id == "" {
-		st.seq++
-		id = fmt.Sprintf("inc-%06d", st.seq)
+		// Skip sequence IDs already taken: a journal written by hand (or
+		// damaged) can hold IDs ahead of its recorded sequence.
+		for taken := true; taken; _, taken = st.incidents[id] {
+			st.seq++
+			id = fmt.Sprintf("inc-%06d", st.seq)
+		}
 	} else if _, taken := st.incidents[id]; taken {
 		st.mu.Unlock()
 		return Incident{}, fmt.Errorf("incident id %s already filed", id)
@@ -104,7 +129,7 @@ func (st *Store) File(f Filing) (Incident, error) {
 	st.incidents[inc.ID] = inc
 	st.order = append(st.order, inc.ID)
 	kick := st.onFile
-	st.persistLocked()
+	st.persistLocked(inc)
 	out := inc.copy()
 	st.mu.Unlock()
 	if kick != nil {
@@ -234,7 +259,7 @@ func (st *Store) Release(id string) {
 	inc.Leader = ""
 	st.reopened++
 	st.appendEventLocked(inc, EvReopened, "investigation interrupted; incident re-queued")
-	st.persistLocked()
+	st.persistLocked(inc)
 }
 
 // Close finishes an investigating incident with the processor's
@@ -298,7 +323,7 @@ func (st *Store) closeLocked(inc *Incident, out Outcome) {
 		kind, text = EvEscalated, out.Note
 	}
 	st.appendEventLocked(inc, kind, text)
-	st.persistLocked()
+	st.persistLocked(inc)
 }
 
 // Observer returns a stream.Observer that appends every session step
@@ -322,6 +347,12 @@ func (st *Store) AppendEvent(id, kind, text string) {
 }
 
 func (st *Store) appendEventLocked(inc *Incident, kind, text string) {
+	// An incident resolved or escalated by hand mid-investigation keeps
+	// receiving its session's events. They ride along with the next
+	// persist, so the journal's copy of a terminal record catches up.
+	if inc.Status.Terminal() && st.cfg.Path != "" && !slices.Contains(st.dirty, inc.ID) {
+		st.dirty = append(st.dirty, inc.ID)
+	}
 	now := st.cfg.Clock()
 	inc.Updated = now
 	inc.Events = append(inc.Events, Event{
@@ -364,7 +395,7 @@ func describe(e stream.Event) string {
 func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s := Stats{Filed: st.filed, Reopened: st.reopened}
+	s := Stats{Filed: st.filed, Reopened: st.reopened, PersistErrors: st.persistErrors}
 	for _, inc := range st.incidents {
 		switch inc.Status {
 		case StatusOpen:
@@ -382,42 +413,111 @@ func (st *Store) Stats() Stats {
 	return s
 }
 
-// storeSnapshot is the on-disk form of the queue.
-type storeSnapshot struct {
-	Seq       int64      `json:"seq"`
-	Filed     int64      `json:"filed"`
-	Reopened  int64      `json:"reopened"`
-	Incidents []Incident `json:"incidents"`
+// journalRecord is one line of the journal: the store counters as of
+// the write and the full record of one incident that changed.
+type journalRecord struct {
+	Seq      int64     `json:"seq"`
+	Filed    int64     `json:"filed"`
+	Reopened int64     `json:"reopened"`
+	Incident *Incident `json:"incident"`
 }
 
-// persistLocked rewrites the snapshot file atomically (tmp + rename).
-// Claims are deliberately not persisted on their own — a claim is
-// transient state that reverts to open on restart anyway.
-func (st *Store) persistLocked() {
+// encodeLocked writes one journal line per named incident to w.
+func (st *Store) encodeLocked(w io.Writer, ids []string) error {
+	enc := json.NewEncoder(w)
+	for _, id := range ids {
+		rec := journalRecord{Seq: st.seq, Filed: st.filed, Reopened: st.reopened, Incident: st.incidents[id]}
+		if err := enc.Encode(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// persistLocked appends the changed incident, plus any terminal
+// incident whose log grew since its last line, to the journal in one
+// write. Claims are deliberately not persisted on their own — a claim
+// is transient state that reverts to open on restart anyway.
+func (st *Store) persistLocked(inc *Incident) {
 	if st.cfg.Path == "" {
 		return
 	}
-	snap := storeSnapshot{Seq: st.seq, Filed: st.filed, Reopened: st.reopened}
-	snap.Incidents = make([]Incident, 0, len(st.order))
-	for _, id := range st.order {
-		snap.Incidents = append(snap.Incidents, st.incidents[id].copy())
+	if !slices.Contains(st.dirty, inc.ID) {
+		st.dirty = append(st.dirty, inc.ID)
 	}
-	data, err := json.Marshal(snap)
+	if st.journal == nil {
+		st.compactLocked()
+		return
+	}
+	var buf bytes.Buffer
+	err := st.encodeLocked(&buf, st.dirty)
+	st.dirty = st.dirty[:0]
+	if err == nil {
+		_, err = st.journal.Write(buf.Bytes())
+	}
 	if err != nil {
-		return
+		// The journal may now end in a torn line. Drop the handle so the
+		// next persist rewrites the whole store instead of appending.
+		st.persistErrors++
+		st.journal.Close()
+		st.journal = nil
 	}
-	tmp := st.cfg.Path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, st.cfg.Path)
 }
 
-// Load restores the queue from the snapshot file. Incidents persisted
-// mid-flight (claimed/investigating — possible only if the process
-// died between a terminal write and its claim) come back open, so no
-// incident is ever stranded by a dead claimant. A missing file is an
-// empty queue, not an error.
+// compactLocked rewrites the journal as one line per incident in filing
+// order (temp+rename) and opens a fresh append handle on the new file.
+// On failure the journal stays closed, so the next persist retries.
+func (st *Store) compactLocked() {
+	st.dirty = st.dirty[:0]
+	if st.journal != nil {
+		st.journal.Close()
+		st.journal = nil
+	}
+	if err := st.rewriteLocked(); err != nil {
+		st.persistErrors++
+	}
+}
+
+// rewriteLocked writes every incident to a temp file, renames it over
+// the journal and opens the append handle on the result. It creates the
+// journal's directory first: websimd points the journal at the session
+// snapshot directory, which nothing else creates until a session is
+// snapshotted.
+func (st *Store) rewriteLocked() error {
+	if err := os.MkdirAll(filepath.Dir(st.cfg.Path), 0o755); err != nil {
+		return err
+	}
+	tmp := st.cfg.Path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	err = st.encodeLocked(w, st.order)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, st.cfg.Path)
+	}
+	if err != nil {
+		return err
+	}
+	st.journal, err = os.OpenFile(st.cfg.Path, os.O_WRONLY|os.O_APPEND, 0)
+	return err
+}
+
+// Load restores the queue from the journal and compacts it. The last
+// line per ID wins, and filing order is the order in which IDs first
+// appear. Non-terminal incidents come back open, so no incident is
+// ever stranded by a dead claimant. A missing file is an empty queue,
+// not an error. A final line without its newline is a write torn by a
+// crash and is dropped, leaving the state before that transition; a
+// bad line anywhere else fails the load. A failed compaction counts as
+// a persist error, and the next persist retries it.
 func (st *Store) Load() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -431,25 +531,37 @@ func (st *Store) Load() error {
 		}
 		return err
 	}
-	var snap storeSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("incident: parse snapshot %s: %w", st.cfg.Path, err)
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
+	incidents := map[string]*Incident{}
+	var order []string
+	var last journalRecord
+	for n := 1; len(data) > 0; n++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return fmt.Errorf("incident: journal %s line %d: %w", st.cfg.Path, n, err)
+		}
+		inc := rec.Incident
+		if inc == nil || inc.ID == "" {
+			return fmt.Errorf("incident: journal %s line %d: no incident", st.cfg.Path, n)
+		}
+		if _, seen := incidents[inc.ID]; !seen {
+			order = append(order, inc.ID)
+		}
+		incidents[inc.ID] = inc
+		last = rec
 	}
-	st.seq = snap.Seq
-	st.filed = snap.Filed
-	st.reopened = snap.Reopened
-	st.incidents = make(map[string]*Incident, len(snap.Incidents))
-	st.order = st.order[:0]
-	for i := range snap.Incidents {
-		inc := snap.Incidents[i]
+	for _, inc := range incidents {
 		if !inc.Status.Terminal() && inc.Status != StatusOpen {
 			inc.Status = StatusOpen
 			inc.Session = ""
 			inc.Leader = ""
 		}
-		st.incidents[inc.ID] = &inc
-		st.order = append(st.order, inc.ID)
 	}
+	st.seq, st.filed, st.reopened = last.Seq, last.Filed, last.Reopened
+	st.incidents, st.order = incidents, order
+	st.compactLocked()
 	return nil
 }
 

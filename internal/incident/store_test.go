@@ -1,13 +1,19 @@
 package incident
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/session"
 	"repro/internal/stream"
 )
 
@@ -283,6 +289,10 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	if !re.Claim(inflight.ID) {
 		t.Error("restored incident not claimable")
 	}
+	// Load compacted the journal to exactly one line per incident.
+	if n := journalLines(t, path); n != 3 {
+		t.Errorf("compacted journal has %d lines, want 3", n)
+	}
 	// IDs continue after the restored sequence instead of colliding.
 	next, err := re.File(Filing{Type: "post-restore"})
 	if err != nil {
@@ -290,6 +300,293 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	}
 	if next.ID != "inc-000004" {
 		t.Errorf("post-restore id = %s, want inc-000004", next.ID)
+	}
+	if _, err := re.Transition(inflight.ID, StatusEscalated, "paged"); err != nil {
+		t.Fatal(err)
+	}
+	// Both transitions landed in the file at path, not in the inode the
+	// compaction replaced.
+	if n := journalLines(t, path); n != 5 {
+		t.Errorf("journal after two transitions has %d lines, want 5", n)
+	}
+
+	// Second restart: every record comes back and the sequence holds.
+	re2 := newTestStore(t, path)
+	if err := re2.Load(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{done.ID, inflight.ID, queued.ID, next.ID} {
+		want, _ := re.Get(id)
+		got, err := re2.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("second restore of %s:\n got %+v\nwant %+v", id, got, want)
+		}
+	}
+	if n := journalLines(t, path); n != 4 {
+		t.Errorf("second compaction left %d lines, want 4", n)
+	}
+	if got, err := re2.File(Filing{Type: "post-second-restore"}); err != nil || got.ID != "inc-000005" {
+		t.Errorf("post-second-restore id = %s (%v), want inc-000005", got.ID, err)
+	}
+}
+
+// journalLines counts the complete lines of the journal at path.
+func journalLines(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(data, []byte{'\n'})
+}
+
+// journalLine renders one journal record the way the store writes it.
+func journalLine(t testing.TB, seq int64, inc Incident) string {
+	data, err := json.Marshal(journalRecord{Seq: seq, Filed: seq, Incident: &inc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data) + "\n"
+}
+
+// TestStoreLoadJournal pins replay: the last line per ID wins, a torn
+// final line is dropped, and a bad line before it fails the load.
+func TestStoreLoadJournal(t *testing.T) {
+	at := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	rec := func(id string, status Status) Incident {
+		inc := Incident{ID: id, Type: "t", Status: status, Created: at, Updated: at}
+		if status != StatusOpen {
+			inc.Session = "s"
+		}
+		return inc
+	}
+	a, b := journalLine(t, 1, rec("inc-000001", StatusOpen)), journalLine(t, 2, rec("inc-000002", StatusOpen))
+	aDone := journalLine(t, 2, rec("inc-000001", StatusResolved))
+	torn := func(line string) string { return line[:len(line)/2] }
+	cases := []struct {
+		name    string
+		data    string
+		wantErr bool
+		want    map[string]Status // every incident, by ID
+	}{
+		{"empty", "", false, map[string]Status{}},
+		{"last line per id wins", a + b + aDone, false, map[string]Status{"inc-000001": StatusResolved, "inc-000002": StatusOpen}},
+		{"torn tail", a + b + torn(aDone), false, map[string]Status{"inc-000001": StatusOpen, "inc-000002": StatusOpen}},
+		{"torn only line", torn(a), false, map[string]Status{}},
+		{"complete line missing its newline", a + strings.TrimSuffix(b, "\n"), false, map[string]Status{"inc-000001": StatusOpen}},
+		{"in-flight reopens", journalLine(t, 1, rec("inc-000001", StatusInvestigating)), false, map[string]Status{"inc-000001": StatusOpen}},
+		{"corrupt middle line", a + "{not json\n" + b, true, nil},
+		{"torn earlier line", torn(a) + "\n" + b, true, nil},
+		{"blank middle line", a + "\n" + b, true, nil},
+		{"line without incident", a + `{"seq":3}` + "\n" + b, true, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "incidents.json")
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st := newTestStore(t, path)
+			err := st.Load()
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("load accepted a corrupt journal")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]Status{}
+			for _, inc := range st.List("") {
+				got[inc.ID] = inc.Status
+				if inc.Status == StatusOpen && inc.Session != "" {
+					t.Errorf("%s reopened still holding session %q", inc.ID, inc.Session)
+				}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("loaded %v, want %v", got, tc.want)
+			}
+			if n := journalLines(t, path); n != len(tc.want) {
+				t.Errorf("compacted journal has %d lines, want %d", n, len(tc.want))
+			}
+		})
+	}
+}
+
+// TestStorePersistErrors proves a failing journal is counted, never
+// fails the transition, and heals by rewriting the whole store.
+func TestStorePersistErrors(t *testing.T) {
+	// A journal whose directory cannot exist: its parent is a file. Load
+	// refuses such a path outright, so this store never loads.
+	blocker := filepath.Join(t.TempDir(), "blocker")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, filepath.Join(blocker, "snapshots", "incidents.json"))
+	if err := st.Load(); err == nil {
+		t.Error("Load under a regular file succeeded")
+	}
+	for i := 1; i <= 2; i++ {
+		inc, err := st.File(Filing{Type: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Get(inc.ID); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().PersistErrors; got != int64(i) {
+			t.Errorf("after filing %d: persist_errors = %d, want %d", i, got, i)
+		}
+	}
+
+	// A directory that is merely missing is created by the first write.
+	path := filepath.Join(t.TempDir(), "snapshots", "incidents.json")
+	st = newTestStore(t, path)
+	if err := st.Load(); err != nil {
+		t.Fatal(err)
+	}
+	st.File(Filing{Type: "t"})
+	if got := st.Stats().PersistErrors; got != 0 {
+		t.Errorf("missing dir: persist_errors = %d, want 0", got)
+	}
+	if n := journalLines(t, path); n != 1 {
+		t.Errorf("missing dir: journal has %d lines, want 1", n)
+	}
+
+	// A write that fails mid-journal drops the handle; the next persist
+	// rewrites every incident rather than appending after a torn line.
+	path = filepath.Join(t.TempDir(), "incidents.json")
+	st = newTestStore(t, path)
+	a, _ := st.File(Filing{Type: "a"})
+	st.mu.Lock()
+	st.journal.Close()
+	st.mu.Unlock()
+	st.File(Filing{Type: "b"})
+	if got := st.Stats().PersistErrors; got != 1 {
+		t.Errorf("persist_errors = %d, want 1", got)
+	}
+	st.Transition(a.ID, StatusResolved, "fixed")
+	if n := journalLines(t, path); n != 2 {
+		t.Errorf("healed journal has %d lines, want 2", n)
+	}
+	re := newTestStore(t, path)
+	if err := re.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if got := re.List(""); len(got) != 2 || got[0].Status != StatusResolved {
+		t.Errorf("healed journal restored %+v", got)
+	}
+}
+
+// FuzzStoreLoad feeds arbitrary bytes to Load as the journal. A load
+// either fails or yields a store whose compacted journal reloads to the
+// same records, one line per incident, and whose next filing gets a
+// fresh ID.
+func FuzzStoreLoad(f *testing.F) {
+	at := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	line := func(seq int64, id string, status Status) string {
+		return journalLine(f, seq, Incident{ID: id, Type: "t", Status: status, Created: at, Updated: at,
+			Events: []Event{{Seq: 1, Time: at, Kind: EvFiled}}})
+	}
+	a, b := line(1, "inc-000001", StatusOpen), line(2, "inc-000002", StatusResolved)
+	f.Add([]byte(""))
+	f.Add([]byte(a + b[:len(b)/2]))
+	f.Add([]byte(a + "{corrupt\n" + b))
+	f.Add([]byte(a + b + line(2, "inc-000001", StatusClaimed)))
+	f.Add([]byte(line(0, "inc-000001", StatusOpen))) // ID ahead of its sequence
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "incidents.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := newTestStore(t, path)
+		if err := st.Load(); err != nil {
+			return
+		}
+		n := len(st.List(""))
+		if got := journalLines(t, path); got != n {
+			t.Fatalf("compacted journal has %d lines for %d incidents", got, n)
+		}
+		re := newTestStore(t, path)
+		if err := re.Load(); err != nil {
+			t.Fatalf("compacted journal does not reload: %v", err)
+		}
+		if !bytes.Equal(records(t, re), records(t, st)) || re.Stats() != st.Stats() {
+			t.Fatal("compacted journal reloads to a different store")
+		}
+		inc, err := st.File(Filing{Type: "t"})
+		if err != nil {
+			t.Fatalf("filing after load: %v", err)
+		}
+		if _, err := re.Get(inc.ID); err == nil {
+			t.Fatalf("filing after load reused ID %s", inc.ID)
+		}
+	})
+}
+
+// TestStoreJournalCatchesUpTerminalLogs closes an incident by hand while
+// its investigation still runs: the events that arrive afterwards reach
+// the journal with the next persist of any incident.
+func TestStoreJournalCatchesUpTerminalLogs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "incidents.json")
+	st := newTestStore(t, path)
+	inc, _ := st.File(Filing{Type: "t"})
+	st.Claim(inc.ID)
+	st.Start(inc.ID, "s", inc.ID)
+	if _, err := st.Transition(inc.ID, StatusResolved, "operator fixed it"); err != nil {
+		t.Fatal(err)
+	}
+	st.Observer(inc.ID)(stream.Event{Type: stream.EventRound, Round: 1, Confidence: 8, Verdict: "yes"})
+	st.File(Filing{Type: "other"})
+
+	re := newTestStore(t, path)
+	if err := re.Load(); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := st.Get(inc.ID)
+	got, _ := re.Get(inc.ID)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("restored %d events, want %d:\n got %+v\nwant %+v", len(got.Events), len(want.Events), got, want)
+	}
+}
+
+// TestStoreJournalReplaysDrain drains the sim batch against a journal
+// and restarts: every terminal incident comes back deep-equal to the
+// in-memory record, event logs included.
+func TestStoreJournalReplaysDrain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "incidents.json")
+	st := NewStore(StoreConfig{Clock: constClock(), Path: path})
+	batch := SimBatch(42)
+	if _, err := FileAll(st, batch); err != nil {
+		t.Fatal(err)
+	}
+	proc := NewProcessor(st, newTestManager(t), ProcessorConfig{Workers: 4, Session: session.Config{Seed: 42}})
+	if err := proc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	re := NewStore(StoreConfig{Clock: constClock(), Path: path})
+	if err := re.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats().PersistErrors != 0 || len(re.List("")) != len(batch) {
+		t.Fatalf("stats %+v, restored %d of %d", st.Stats(), len(re.List("")), len(batch))
+	}
+	for _, sum := range st.List("") {
+		want, _ := st.Get(sum.ID)
+		got, err := re.Get(sum.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Status.Terminal() {
+			t.Errorf("%s left %s", want.ID, want.Status)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s restored with %d events, want %d:\n got %+v\nwant %+v", want.ID, len(got.Events), len(want.Events), got, want)
+		}
 	}
 }
 

@@ -499,7 +499,8 @@ func ratio(hits, misses int64) string {
 func withSession(m *Manager, w http.ResponseWriter, r *http.Request, op func(context.Context, *Session) (any, error)) {
 	ctx, cancel := m.requestCtx(r)
 	defer cancel()
-	s, err := m.Get(r.PathValue("id"))
+	id := r.PathValue("id")
+	s, err := m.Get(id)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -511,6 +512,15 @@ func withSession(m *Manager, w http.ResponseWriter, r *http.Request, op func(con
 	}
 	defer release()
 	out, err := op(ctx, s)
+	if errors.Is(err, ErrClosed) {
+		// Another request's restore can evict the session between Get
+		// and the op lock; the op failed before running, so look the
+		// session up again (restoring it, or 404 if it was deleted) and
+		// retry once.
+		if s, err = m.Get(id); err == nil {
+			out, err = op(ctx, s)
+		}
+	}
 	if err != nil {
 		writeError(w, err)
 		return

@@ -295,6 +295,49 @@ func TestHTTPBusyTimeout(t *testing.T) {
 	}
 }
 
+// TestHTTPSessionClosedBetweenGetAndOp pins the window between a
+// handler's Manager.Get and its op lock. A session evicted there (by
+// another request's restore) is restored and the op retried; one
+// deleted there answers 404, not 409.
+func TestHTTPSessionClosedBetweenGetAndOp(t *testing.T) {
+	cases := []struct {
+		name     string
+		closeFn  func(m *Manager) error
+		wantCode int
+	}{
+		{"evicted", func(m *Manager) error {
+			_, err := m.Create("other", Config{Seed: 42}) // capacity 1: evicts "a"
+			return err
+		}, http.StatusOK},
+		{"deleted", func(m *Manager) error {
+			return m.Close(context.Background(), "a", true)
+		}, http.StatusNotFound},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: t.TempDir(), Defaults: Config{Seed: 42}})
+			if _, err := m.Create("a", Config{Seed: 42}); err != nil {
+				t.Fatal(err)
+			}
+			r := httptest.NewRequest("POST", "/v1/sessions/a/ask", nil)
+			r.SetPathValue("id", "a")
+			w := httptest.NewRecorder()
+			calls := 0
+			withSession(m, w, r, func(ctx context.Context, s *Session) (any, error) {
+				if calls++; calls == 1 {
+					if err := tc.closeFn(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s.Ask(ctx, vulnQuestion)
+			})
+			if w.Code != tc.wantCode {
+				t.Errorf("status = %d %s, want %d", w.Code, w.Body, tc.wantCode)
+			}
+		})
+	}
+}
+
 func TestHTTPCreateOptions(t *testing.T) {
 	srv, _ := newTestServer(t, ManagerConfig{})
 	seed := uint64(7)

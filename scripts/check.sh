@@ -20,8 +20,9 @@ go test -run='^$' -bench=. -benchtime=1x .
 
 # Hot-path determinism under the race detector: cached vs uncached ask
 # byte-identity, the structured fast path against the encoded contract,
-# and the prompt round-trip fuzz corpus (seeds only; no -fuzz time).
-go test -race -run 'TestAskPath|TestSimFastPath|TestEnsembleFastPath|FuzzEncodeRoundTrip|FuzzParse' . ./internal/llm ./internal/prompt
+# the prompt round-trip fuzz corpus and the incident journal loader's
+# (seeds only; no -fuzz time).
+go test -race -run 'TestAskPath|TestSimFastPath|TestEnsembleFastPath|FuzzEncodeRoundTrip|FuzzParse|FuzzStoreLoad' . ./internal/llm ./internal/prompt ./internal/incident
 
 # Concurrency-heavy paths under the race detector: the fake-clock
 # batching/hedging/singleflight suite and the SSE stream lifecycle
@@ -48,10 +49,10 @@ go test -race -count=1 ./internal/retrieval
 go test -race -count=1 -run 'TestClock|TestForkConcurrentFetchWithClock' ./internal/websim
 
 # The incident pipeline: atomic claim CAS, lifecycle transition table,
-# leader-failure fan-out, cancel-and-reclaim, snapshot round-trip,
-# worker-count byte-identity and the HTTP extension (envelopes, 409
-# invalid_state), all under the race detector; then the throughput
-# acceptance gate (leader-follower dedup must beat all-leader).
+# leader-failure fan-out, cancel-and-reclaim, journal replay and
+# compaction across restarts, worker-count byte-identity and the HTTP
+# extension (envelopes, 409 invalid_state), all under the race
+# detector; then the throughput report (leader-follower vs all-leader).
 go test -race -count=1 ./internal/incident
 go test -count=1 -run '^TestIncidentPipelineReport$' .
 

@@ -305,5 +305,6 @@ expect_exit2 "backends sans gateway" -backends 127.0.0.1:1
 expect_exit2 "gateway sans backends" -gateway
 expect_exit2 "duplicate backends"   -gateway -backends "127.0.0.1:1,127.0.0.1:1"
 expect_exit2 "gateway + incident-sim" -gateway -backends 127.0.0.1:1 -incident-sim
+expect_exit2 "shared incident journal" -gateway -spawn 2 -incident-workers 1
 
 echo "smoke: ok (retries absorbed, tail hedged, SSE streamed rounds, incident drained to resolved, session migrated across backends, metrics scraped)"
