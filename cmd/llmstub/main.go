@@ -13,9 +13,9 @@
 // sleeps -slow-latency, giving a client's hedging path a real tail to
 // cut.
 //
-// A request carrying multiple user messages is treated as a micro-batch
-// and answered with one choice per message, in order — the batch wire
-// contract the remote backend's BatchWindow mode relies on.
+// Like a hosted chat-completions API, the stub reads the messages array
+// as one conversation and answers its last message with exactly one
+// choice.
 //
 //	POST /chat/completions     the OpenAI-compatible completion call
 //	POST /v1/chat/completions  alias, for endpoints configured with /v1
@@ -95,19 +95,15 @@ func main() {
 			writeJSON(w, http.StatusBadRequest, errorMessage("no messages"))
 			return
 		}
-		// One choice per user message, in order: a single-prompt request
-		// gets one choice, a micro-batch gets its results mapped back by
-		// index.
-		choices := make([]chatChoice, 0, len(req.Messages))
-		for _, m := range req.Messages {
-			out, err := model.Complete(r.Context(), m.Content)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, errorMessage(err.Error()))
-				return
-			}
-			choices = append(choices, chatChoice{Message: chatMessage{Role: "assistant", Content: out}})
+		out, err := model.Complete(r.Context(), req.Messages[len(req.Messages)-1].Content)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorMessage(err.Error()))
+			return
 		}
-		writeJSON(w, http.StatusOK, chatResponse{Model: req.Model, Choices: choices})
+		writeJSON(w, http.StatusOK, chatResponse{
+			Model:   req.Model,
+			Choices: []chatChoice{{Message: chatMessage{Role: "assistant", Content: out}}},
+		})
 	}
 
 	mux := http.NewServeMux()

@@ -7,7 +7,6 @@
 //	        [-capacity 64] [-shards 0] [-snapshots DIR] [-timeout 30s]
 //	        [-model sim|ensemble|remote] [-retrieval-workers 0]
 //	        [-max-inflight 0]
-//	        [-llm-batch-window 0ms] [-llm-batch-max 0]
 //	        [-llm-hedge] [-llm-hedge-delay 0ms]
 //	        [-incident-workers 0] [-incident-max-turns 4] [-incident-sim]
 //
@@ -72,11 +71,10 @@
 //
 // -model picks the default LLM backend for new sessions (a per-session
 // "model" field in POST /v1/sessions overrides it). The remote backend
-// reads REPRO_LLM_ENDPOINT / REPRO_LLM_API_KEY / REPRO_LLM_MODEL; the
-// -llm-batch-* and -llm-hedge* flags tune its micro-batching and
-// tail-latency hedging (they set REPRO_LLM_BATCH_WINDOW,
-// REPRO_LLM_BATCH_MAX, REPRO_LLM_HEDGE and REPRO_LLM_HEDGE_DELAY for
-// every session built in this process).
+// reads REPRO_LLM_ENDPOINT / REPRO_LLM_API_KEY / REPRO_LLM_MODEL and
+// sends one prompt per chat-completions request; the -llm-hedge* flags
+// tune its tail-latency hedging (they set REPRO_LLM_HEDGE and
+// REPRO_LLM_HEDGE_DELAY for every session built in this process).
 package main
 
 import (
@@ -88,7 +86,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -113,8 +110,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout for agent calls")
 	model := flag.String("model", "", "default LLM backend for new sessions: sim, ensemble, remote (empty = sim)")
 	retrievalWorkers := flag.Int("retrieval-workers", 0, "concurrent web requests per self-learning round (0 = min(GOMAXPROCS, 8), 1 = sequential)")
-	batchWindow := flag.Duration("llm-batch-window", 0, "remote backend micro-batch window (0 = off)")
-	batchMax := flag.Int("llm-batch-max", 0, "max prompts per batched upstream call (0 = default)")
 	hedge := flag.Bool("llm-hedge", false, "enable tail-latency request hedging in the remote backend")
 	hedgeDelay := flag.Duration("llm-hedge-delay", 0, "fixed hedge trigger (0 = adaptive p99)")
 	incidentWorkers := flag.Int("incident-workers", 0, "incident-pipeline worker pool size (0 = pipeline disabled)")
@@ -133,12 +128,6 @@ func main() {
 
 	// The backend reads its tuning from the environment at session
 	// construction; the flags just feed it.
-	if *batchWindow > 0 {
-		os.Setenv(backend.EnvBatchWindow, batchWindow.String())
-	}
-	if *batchMax > 0 {
-		os.Setenv(backend.EnvBatchMax, strconv.Itoa(*batchMax))
-	}
 	if *hedge {
 		os.Setenv(backend.EnvHedge, "1")
 	}

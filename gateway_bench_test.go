@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -77,6 +78,20 @@ func startProc(t *testing.T, env []string, bin string, args ...string) {
 			<-done
 		}
 	})
+}
+
+// reserveAddr picks a free loopback address at run time: it listens on
+// port 0, reads the port the kernel chose and releases it for the
+// server process about to bind it, so concurrent runs and leftover
+// processes cannot collide on a fixed port.
+func reserveAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
 }
 
 func waitUp(t *testing.T, addr string) {
@@ -267,13 +282,13 @@ func TestGatewayReport(t *testing.T) {
 
 	// --- Hop overhead: one sim backend, a gateway in front, sequential
 	// asks on the same trained session over both paths.
-	const (
-		hopBackend = "127.0.0.1:18181"
-		hopGateway = "127.0.0.1:18180"
-	)
+	// Each address is reserved only once the previous server is up, so
+	// a released port cannot be handed out twice.
+	hopBackend := reserveAddr(t)
 	startProc(t, nil, websimd, "-addr", hopBackend)
-	startProc(t, nil, websimd, "-gateway", "-backends", hopBackend, "-addr", hopGateway)
 	waitUp(t, hopBackend)
+	hopGateway := reserveAddr(t)
+	startProc(t, nil, websimd, "-gateway", "-backends", hopBackend, "-addr", hopGateway)
 	waitUp(t, hopGateway)
 	benchPost(t, client, "http://"+hopBackend+"/v1/sessions", map[string]any{"id": "hop", "train": true})
 	measureAskP50 := func(base string) time.Duration {
@@ -298,17 +313,17 @@ func TestGatewayReport(t *testing.T) {
 	// with injected latency, 4 sessions per backend, a shared pool of
 	// parallel askers.
 	const (
-		llmAddr     = "127.0.0.1:18191"
 		perBackend  = 4
 		clients     = 32
 		asksPerSess = 16
 	)
+	llmAddr := reserveAddr(t)
 	startProc(t, nil, llmstub, "-addr", llmAddr, "-latency", "40ms")
 	waitUp(t, llmAddr)
 	env := []string{"REPRO_LLM_ENDPOINT=http://" + llmAddr}
 
 	// Baseline: one backend, no gateway.
-	const directAddr = "127.0.0.1:18185"
+	directAddr := reserveAddr(t)
 	startProc(t, env, websimd, "-addr", directAddr, "-model", "remote", "-max-inflight", "4")
 	waitUp(t, directAddr)
 	directBase := "http://" + directAddr
@@ -328,8 +343,8 @@ func TestGatewayReport(t *testing.T) {
 
 	// Gateway at 1, 2 and 4 spawned backends.
 	var quad float64
-	for i, n := range []int{1, 2, 4} {
-		addr := fmt.Sprintf("127.0.0.1:1819%d", 5+i)
+	for _, n := range []int{1, 2, 4} {
+		addr := reserveAddr(t)
 		startProc(t, env, websimd, "-gateway", "-spawn", fmt.Sprint(n), "-addr", addr,
 			"-model", "remote", "-max-inflight", "4")
 		waitUp(t, addr)

@@ -16,10 +16,9 @@
 //	          production traffic: per-request timeouts, bounded retries
 //	          with backoff+jitter, a circuit breaker with sim fallback,
 //	          a concurrency gate, an LRU response cache, singleflight
-//	          coalescing of identical in-flight prompts, optional
-//	          micro-batching of concurrent prompts into one upstream
-//	          call (batch.go) and optional tail-latency request hedging
-//	          (remote.go)
+//	          coalescing of identical in-flight prompts and optional
+//	          tail-latency request hedging (remote.go); one prompt per
+//	          request, answered by the response's first choice
 //
 // Every entry point (bob, the repl, quizrunner, the eval harness,
 // websimd) picks its model by name via session.Config.Model; unknown
@@ -32,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,12 +60,6 @@ const (
 	// EnvUpstream is the upstream model name put in the request body
 	// (default "gpt-4").
 	EnvUpstream = "REPRO_LLM_MODEL"
-	// EnvBatchWindow is the micro-batch coalescing window as a Go
-	// duration ("25ms"). Unset or zero disables batching.
-	EnvBatchWindow = "REPRO_LLM_BATCH_WINDOW"
-	// EnvBatchMax caps prompts per batched upstream call (default 8
-	// when batching is enabled).
-	EnvBatchMax = "REPRO_LLM_BATCH_MAX"
 	// EnvHedge enables tail-latency request hedging ("1", "true", "on").
 	EnvHedge = "REPRO_LLM_HEDGE"
 	// EnvHedgeDelay fixes the hedge trigger as a Go duration; unset or
@@ -85,11 +77,6 @@ type Options struct {
 	APIKey string
 	// Upstream overrides EnvUpstream (the model name sent upstream).
 	Upstream string
-	// BatchWindow overrides EnvBatchWindow: the remote backend's
-	// micro-batch coalescing window (0 disables batching).
-	BatchWindow time.Duration
-	// BatchMax overrides EnvBatchMax: max prompts per batched call.
-	BatchMax int
 	// Hedge overrides EnvHedge: tail-latency request hedging.
 	Hedge bool
 	// HedgeDelay overrides EnvHedgeDelay: a fixed hedge trigger
@@ -111,16 +98,6 @@ func (o Options) withEnv() Options {
 	}
 	if o.Upstream == "" {
 		o.Upstream = os.Getenv(EnvUpstream)
-	}
-	if o.BatchWindow == 0 {
-		if d, err := time.ParseDuration(os.Getenv(EnvBatchWindow)); err == nil && d > 0 {
-			o.BatchWindow = d
-		}
-	}
-	if o.BatchMax == 0 {
-		if n, err := strconv.Atoi(os.Getenv(EnvBatchMax)); err == nil && n > 0 {
-			o.BatchMax = n
-		}
 	}
 	if !o.Hedge {
 		switch strings.ToLower(os.Getenv(EnvHedge)) {
@@ -217,15 +194,13 @@ func init() {
 			return nil, fmt.Errorf("backend: remote model needs an endpoint (set %s)", EnvEndpoint)
 		}
 		return NewRemote(RemoteConfig{
-			Endpoint:    o.Endpoint,
-			APIKey:      o.APIKey,
-			Upstream:    o.Upstream,
-			BatchWindow: o.BatchWindow,
-			BatchMax:    o.BatchMax,
-			Hedge:       o.Hedge,
-			HedgeDelay:  o.HedgeDelay,
-			Fallback:    llm.NewSim(),
-			Counters:    o.Counters,
+			Endpoint:   o.Endpoint,
+			APIKey:     o.APIKey,
+			Upstream:   o.Upstream,
+			Hedge:      o.Hedge,
+			HedgeDelay: o.HedgeDelay,
+			Fallback:   llm.NewSim(),
+			Counters:   o.Counters,
 		})
 	})
 }
@@ -233,17 +208,15 @@ func init() {
 // Counters instruments the remote client. All fields are atomic so the
 // hot path never takes a lock to count.
 type Counters struct {
-	requests       atomic.Int64
-	retries        atomic.Int64
-	failures       atomic.Int64
-	breakerOpens   atomic.Int64
-	cacheHits      atomic.Int64
-	fallbacks      atomic.Int64
-	coalesced      atomic.Int64
-	batchCalls     atomic.Int64
-	batchedPrompts atomic.Int64
-	hedges         atomic.Int64
-	hedgeWins      atomic.Int64
+	requests     atomic.Int64
+	retries      atomic.Int64
+	failures     atomic.Int64
+	breakerOpens atomic.Int64
+	cacheHits    atomic.Int64
+	fallbacks    atomic.Int64
+	coalesced    atomic.Int64
+	hedges       atomic.Int64
+	hedgeWins    atomic.Int64
 }
 
 // Default is the process-wide counter set remote clients report into
@@ -271,10 +244,6 @@ type Stats struct {
 	// Coalesced counts completions served by joining another caller's
 	// identical in-flight request instead of going upstream.
 	Coalesced int64 `json:"coalesced_completions"`
-	// BatchCalls counts upstream calls that carried a micro-batch.
-	BatchCalls int64 `json:"batch_calls"`
-	// BatchedPrompts counts prompts that travelled inside batch calls.
-	BatchedPrompts int64 `json:"batched_prompts"`
 	// Hedges counts hedge attempts launched against slow requests.
 	Hedges int64 `json:"hedged_attempts"`
 	// HedgeWins counts hedged requests where the hedge finished first.
@@ -284,17 +253,15 @@ type Stats struct {
 // Snapshot returns the current counter values.
 func (c *Counters) Snapshot() Stats {
 	return Stats{
-		Requests:       c.requests.Load(),
-		Retries:        c.retries.Load(),
-		Failures:       c.failures.Load(),
-		BreakerOpens:   c.breakerOpens.Load(),
-		CacheHits:      c.cacheHits.Load(),
-		Fallbacks:      c.fallbacks.Load(),
-		Coalesced:      c.coalesced.Load(),
-		BatchCalls:     c.batchCalls.Load(),
-		BatchedPrompts: c.batchedPrompts.Load(),
-		Hedges:         c.hedges.Load(),
-		HedgeWins:      c.hedgeWins.Load(),
+		Requests:     c.requests.Load(),
+		Retries:      c.retries.Load(),
+		Failures:     c.failures.Load(),
+		BreakerOpens: c.breakerOpens.Load(),
+		CacheHits:    c.cacheHits.Load(),
+		Fallbacks:    c.fallbacks.Load(),
+		Coalesced:    c.coalesced.Load(),
+		Hedges:       c.hedges.Load(),
+		HedgeWins:    c.hedgeWins.Load(),
 	}
 }
 

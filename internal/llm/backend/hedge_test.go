@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -14,9 +13,9 @@ import (
 )
 
 // gatedClock parks every Sleep until the test releases it (or the
-// sleeper's ctx dies), so batching-window and hedge-timer tests control
-// exactly when time "passes" — the fake-clock discipline the batching
-// and hedging paths are designed around.
+// sleeper's ctx dies), so hedge-timer tests control exactly when time
+// "passes" — the fake-clock discipline the hedging path is designed
+// around.
 type gatedClock struct {
 	mu     sync.Mutex
 	now    time.Time
@@ -68,191 +67,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// batchTransport answers every chat-completions request with one choice
-// per message ("echo:<content>") and records per-call batch sizes.
-type batchTransport struct {
-	mu      sync.Mutex
-	calls   int
-	batches []int
-}
-
-func (tr *batchTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	body, _ := io.ReadAll(req.Body)
-	var cr chatRequest
-	_ = json.Unmarshal(body, &cr)
-	tr.mu.Lock()
-	tr.calls++
-	tr.batches = append(tr.batches, len(cr.Messages))
-	tr.mu.Unlock()
-	resp := chatResponse{}
-	for _, m := range cr.Messages {
-		resp.Choices = append(resp.Choices, struct {
-			Message chatMessage `json:"message"`
-		}{Message: chatMessage{Role: "assistant", Content: "echo:" + m.Content}})
-	}
-	b, _ := json.Marshal(resp)
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Status:     "200 OK",
-		Header:     http.Header{},
-		Body:       io.NopCloser(strings.NewReader(string(b))),
-		Request:    req,
-	}, nil
-}
-
-func (tr *batchTransport) Calls() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.calls
-}
-
-// TestRemoteBatchWindowCoalesces: N concurrent prompts arriving within
-// one batching window travel upstream as ONE chat-completions call and
-// fan back out by index.
-func TestRemoteBatchWindowCoalesces(t *testing.T) {
-	const n = 6
-	tr := &batchTransport{}
-	clk := newGatedClock()
-	ctrs := &Counters{}
-	r, err := NewRemote(RemoteConfig{
-		Endpoint:    "http://llm.test/v1",
-		Timeout:     time.Second,
-		MaxRetries:  0,
-		BatchWindow: 10 * time.Millisecond,
-		BatchMax:    8,
-		CacheSize:   -1,
-		Client:      &http.Client{Transport: tr},
-		Clock:       clk,
-		Jitter:      func() float64 { return 0 },
-		Counters:    ctrs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	outs := make([]string, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], errs[i] = r.Complete(context.Background(), fmt.Sprintf("q%d", i))
-		}(i)
-	}
-	// All n calls must be pending in the generation, and the leader
-	// parked in its window sleep, before the window "elapses".
-	waitFor(t, "all calls pending", func() bool {
-		r.batch.mu.Lock()
-		defer r.batch.mu.Unlock()
-		return len(r.batch.pending) == n
-	})
-	waitFor(t, "leader parked in window sleep", clk.releaseOne)
-	wg.Wait()
-
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("call %d: %v", i, errs[i])
-		}
-		if want := fmt.Sprintf("echo:q%d", i); outs[i] != want {
-			t.Errorf("call %d = %q, want %q (results must map back by index)", i, outs[i], want)
-		}
-	}
-	// ceil(6/8) = 1 upstream request for 6 concurrent prompts.
-	if tr.Calls() != 1 {
-		t.Errorf("upstream calls = %d, want 1", tr.Calls())
-	}
-	st := ctrs.Snapshot()
-	if st.Requests != 1 || st.BatchCalls != 1 || st.BatchedPrompts != n {
-		t.Errorf("counters %+v", st)
-	}
-}
-
-// TestRemoteBatchFullFlush: a generation that reaches BatchMax flushes
-// immediately without waiting out the window.
-func TestRemoteBatchFullFlush(t *testing.T) {
-	tr := &batchTransport{}
-	clk := newGatedClock() // never released: only a full batch can flush
-	ctrs := &Counters{}
-	r, err := NewRemote(RemoteConfig{
-		Endpoint:    "http://llm.test/v1",
-		Timeout:     time.Second,
-		BatchWindow: time.Hour,
-		BatchMax:    2,
-		CacheSize:   -1,
-		Client:      &http.Client{Transport: tr},
-		Clock:       clk,
-		Jitter:      func() float64 { return 0 },
-		Counters:    ctrs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	outs := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], _ = r.Complete(context.Background(), fmt.Sprintf("f%d", i))
-		}(i)
-	}
-	wg.Wait()
-
-	if outs[0] != "echo:f0" || outs[1] != "echo:f1" {
-		t.Errorf("outs = %q", outs)
-	}
-	if tr.Calls() != 1 {
-		t.Errorf("upstream calls = %d, want 1", tr.Calls())
-	}
-	if st := ctrs.Snapshot(); st.BatchCalls != 1 || st.BatchedPrompts != 2 {
-		t.Errorf("counters %+v", st)
-	}
-}
-
-// TestRemoteBatchGenerations: 2×BatchMax prompts in two waves cost
-// exactly ceil(N/BatchMax) = 2 upstream requests.
-func TestRemoteBatchGenerations(t *testing.T) {
-	tr := &batchTransport{}
-	ctrs := &Counters{}
-	r, err := NewRemote(RemoteConfig{
-		Endpoint:    "http://llm.test/v1",
-		Timeout:     time.Second,
-		BatchWindow: time.Hour, // flushes only on full batches
-		BatchMax:    4,
-		CacheSize:   -1,
-		Client:      &http.Client{Transport: tr},
-		Clock:       newGatedClock(),
-		Jitter:      func() float64 { return 0 },
-		Counters:    ctrs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for wave := 0; wave < 2; wave++ {
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				out, err := r.Complete(context.Background(), fmt.Sprintf("w%d-%d", wave, i))
-				if err != nil || out != fmt.Sprintf("echo:w%d-%d", wave, i) {
-					t.Errorf("wave %d call %d = %q, %v", wave, i, out, err)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	if tr.Calls() != 2 {
-		t.Errorf("upstream calls = %d, want 2 (= ceil(8/4))", tr.Calls())
-	}
-	if st := ctrs.Snapshot(); st.BatchCalls != 2 || st.BatchedPrompts != 8 {
-		t.Errorf("counters %+v", st)
 	}
 }
 
@@ -441,7 +255,7 @@ func TestLatencyTrackerP99(t *testing.T) {
 // TestRemoteHedgeDelayAdaptive: with no fixed HedgeDelay the trigger is
 // the attempt timeout until the tracker warms up, then the tracked p99.
 func TestRemoteHedgeDelayAdaptive(t *testing.T) {
-	tr := &batchTransport{}
+	tr := &scriptedTransport{steps: []step{{status: 200, content: "ok"}}}
 	r, _, _ := newTestRemote(t, tr, func(c *RemoteConfig) { c.Hedge = true })
 	if d := r.hedgeDelay(); d != r.cfg.Timeout {
 		t.Errorf("cold hedge delay = %v, want the attempt timeout %v", d, r.cfg.Timeout)

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,14 +82,6 @@ type RemoteConfig struct {
 	// CacheSize bounds the prompt-keyed LRU response cache; 0 takes the
 	// default (512), negative disables caching.
 	CacheSize int
-	// BatchWindow, when positive, enables micro-batching: concurrent
-	// completions arriving within the window coalesce into ONE upstream
-	// chat-completions call (one user message per prompt, choices mapped
-	// back by index). 0 disables batching.
-	BatchWindow time.Duration
-	// BatchMax caps prompts per batched call (default 8 when batching
-	// is enabled). A full batch flushes before the window elapses.
-	BatchMax int
 	// Hedge enables tail-latency hedging: when an attempt outlives the
 	// hedge delay, a second identical attempt races it and the first
 	// response wins. Duplicated work trades for a shorter tail.
@@ -143,9 +136,6 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 	if c.CacheSize == 0 {
 		c.CacheSize = 512
 	}
-	if c.BatchWindow > 0 && c.BatchMax <= 0 {
-		c.BatchMax = 8
-	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
 	}
@@ -174,10 +164,11 @@ const (
 // transport errors (honoring Retry-After and context cancellation), a
 // half-open circuit breaker with optional fallback to the simulated
 // model, a bounded in-flight gate, a prompt-keyed LRU response cache,
-// singleflight coalescing of identical in-flight prompts, optional
-// micro-batching of concurrent prompts into one upstream call, and
-// optional tail-latency request hedging. All time is injected, so the
-// failure and latency paths are testable with a fake clock.
+// singleflight coalescing of identical in-flight prompts, and optional
+// tail-latency request hedging. Each completion is one request carrying
+// one user message; batching, where wanted, belongs to the server. All
+// time is injected, so the failure and latency paths are testable with
+// a fake clock.
 type Remote struct {
 	cfg  RemoteConfig
 	gate chan struct{}
@@ -196,8 +187,6 @@ type Remote struct {
 	fmu     sync.Mutex
 	flights map[string]*flight
 
-	// batch is the micro-batcher (nil when BatchWindow is 0).
-	batch *batcher
 	// lat tracks successful-attempt latency for the adaptive hedge
 	// trigger.
 	lat *latencyTracker
@@ -225,9 +214,6 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	}
 	if cfg.CacheSize > 0 {
 		r.cache = newPromptCache(cfg.CacheSize)
-	}
-	if cfg.BatchWindow > 0 {
-		r.batch = &batcher{}
 	}
 	return r, nil
 }
@@ -296,19 +282,15 @@ func (r *Remote) Complete(ctx context.Context, encodedPrompt string) (string, er
 	}
 }
 
-// completeOne runs one (uncoalesced) completion through the batched or
-// direct path.
+// completeOne runs one (uncoalesced) completion through the breaker.
 func (r *Remote) completeOne(ctx context.Context, encodedPrompt string) (string, error) {
-	if r.batch != nil {
-		return r.completeBatched(ctx, encodedPrompt)
-	}
 	if !r.admit() {
 		// Breaker rejecting traffic: fail fast, degrading to the
 		// fallback model when configured.
 		r.cfg.Counters.failures.Add(1)
 		return r.fallback(ctx, encodedPrompt, ErrBreakerOpen)
 	}
-	outs, err := r.completeN(ctx, []string{encodedPrompt})
+	out, err := r.complete(ctx, encodedPrompt)
 	if err != nil {
 		r.recordFailure()
 		r.cfg.Counters.failures.Add(1)
@@ -320,8 +302,8 @@ func (r *Remote) completeOne(ctx context.Context, encodedPrompt string) (string,
 		return r.fallback(ctx, encodedPrompt, err)
 	}
 	r.recordSuccess()
-	r.cachePut(encodedPrompt, outs[0])
-	return outs[0], nil
+	r.cachePut(encodedPrompt, out)
+	return out, nil
 }
 
 // fallback serves the completion from the configured fallback model, or
@@ -404,33 +386,31 @@ type retryableError struct {
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
-// completeN runs the attempt/retry loop for a group of prompts (a batch
-// counts as one in-flight unit) under the concurrency gate.
-func (r *Remote) completeN(ctx context.Context, prompts []string) ([]string, error) {
+// complete runs the attempt/retry loop for one prompt under the
+// concurrency gate.
+func (r *Remote) complete(ctx context.Context, prompt string) (string, error) {
 	select {
 	case r.gate <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return "", ctx.Err()
 	}
 	defer func() { <-r.gate }()
 
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		outs, err := r.attemptHedged(ctx, prompts)
+		out, err := r.attemptHedged(ctx, prompt)
 		if err == nil {
-			return outs, nil
+			return out, nil
 		}
-		lastErr = err
 		var re *retryableError
 		if !errors.As(err, &re) || attempt >= r.cfg.MaxRetries {
-			return nil, lastErr
+			return "", err
 		}
 		wait := re.retryAfter
 		if wait <= 0 {
 			wait = r.backoff(attempt)
 		}
 		if err := r.cfg.Clock.Sleep(ctx, wait); err != nil {
-			return nil, err // cancelled mid-retry
+			return "", err // cancelled mid-retry
 		}
 		r.cfg.Counters.retries.Add(1)
 	}
@@ -440,15 +420,15 @@ func (r *Remote) completeN(ctx context.Context, prompts []string) ([]string, err
 // primary request is raced by an identical hedge launched after the
 // hedge delay; the first result (success or, once both are in, the
 // primary's failure) wins and the loser's context is cancelled.
-func (r *Remote) attemptHedged(ctx context.Context, prompts []string) ([]string, error) {
+func (r *Remote) attemptHedged(ctx context.Context, prompt string) (string, error) {
 	if !r.cfg.Hedge {
 		r.cfg.Counters.requests.Add(1)
-		return r.timedAttempt(ctx, prompts)
+		return r.timedAttempt(ctx, prompt)
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		outs  []string
+		out   string
 		err   error
 		hedge bool
 	}
@@ -456,8 +436,8 @@ func (r *Remote) attemptHedged(ctx context.Context, prompts []string) ([]string,
 	launch := func(hedge bool) {
 		r.cfg.Counters.requests.Add(1)
 		go func() {
-			outs, err := r.timedAttempt(actx, prompts)
-			results <- result{outs, err, hedge}
+			out, err := r.timedAttempt(actx, prompt)
+			results <- result{out, err, hedge}
 		}()
 	}
 	launch(false)
@@ -477,13 +457,13 @@ func (r *Remote) attemptHedged(ctx context.Context, prompts []string) ([]string,
 				if res.hedge {
 					r.cfg.Counters.hedgeWins.Add(1)
 				}
-				return res.outs, nil
+				return res.out, nil
 			}
 			if firstErr == nil {
 				firstErr = res.err
 			}
 			if inFlight == 0 {
-				return nil, firstErr
+				return "", firstErr
 			}
 		case <-hedgeTimer:
 			hedgeTimer = nil // fires at most once
@@ -494,15 +474,15 @@ func (r *Remote) attemptHedged(ctx context.Context, prompts []string) ([]string,
 	}
 }
 
-// timedAttempt is attemptN plus latency tracking: successful attempts
+// timedAttempt is attempt plus latency tracking: successful attempts
 // feed the p99 estimate the adaptive hedge trigger uses.
-func (r *Remote) timedAttempt(ctx context.Context, prompts []string) ([]string, error) {
+func (r *Remote) timedAttempt(ctx context.Context, prompt string) (string, error) {
 	start := r.cfg.Clock.Now()
-	outs, err := r.attemptN(ctx, prompts)
+	out, err := r.attempt(ctx, prompt)
 	if err == nil {
 		r.lat.record(r.cfg.Clock.Now().Sub(start))
 	}
-	return outs, err
+	return out, err
 }
 
 // hedgeDelay resolves how long the primary attempt runs before a hedge
@@ -522,6 +502,64 @@ func (r *Remote) hedgeDelay() time.Duration {
 	return r.cfg.Timeout
 }
 
+// Adaptive hedging support: the trigger for racing a second request is
+// "the primary has outlived what the p99 of recent successes says it
+// should take".
+const (
+	// latencyWindow is how many recent successful-attempt latencies the
+	// tracker retains.
+	latencyWindow = 128
+	// hedgeMinSamples is how much history the adaptive trigger needs
+	// before hedging activates.
+	hedgeMinSamples = 16
+	// hedgeMinDelay floors the adaptive trigger so an ultra-fast
+	// upstream is not hedged on every request.
+	hedgeMinDelay = time.Millisecond
+)
+
+// latencyTracker is a fixed-size ring of recent successful-attempt
+// latencies with a quantile view over the retained window.
+type latencyTracker struct {
+	mu  sync.Mutex
+	buf []time.Duration
+	idx int
+	n   int64 // total recorded, for the warm-up gate
+}
+
+func newLatencyTracker(size int) *latencyTracker {
+	return &latencyTracker{buf: make([]time.Duration, 0, size)}
+}
+
+func (t *latencyTracker) record(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.buf) < cap(t.buf) {
+		t.buf = append(t.buf, d)
+	} else {
+		t.buf[t.idx] = d
+		t.idx = (t.idx + 1) % cap(t.buf)
+	}
+	t.n++
+}
+
+// p99 returns the 99th-percentile latency over the retained window and
+// whether enough samples exist to trust it.
+func (t *latencyTracker) p99() (time.Duration, bool) {
+	t.mu.Lock()
+	if t.n < hedgeMinSamples {
+		t.mu.Unlock()
+		return 0, false
+	}
+	s := append([]time.Duration(nil), t.buf...)
+	t.mu.Unlock()
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	i := len(s) * 99 / 100
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	return s[i], true
+}
+
 // backoff computes the wait before re-attempt number attempt (0-based):
 // exponential growth from BackoffBase capped at BackoffMax, scaled by
 // jitter into [d/2, d) so synchronized clients fan out.
@@ -537,27 +575,25 @@ func (r *Remote) backoff(attempt int) time.Duration {
 	return half + time.Duration(float64(half)*r.cfg.Jitter())
 }
 
-// attemptN runs one HTTP round trip for one or more prompts under the
-// per-attempt timeout and classifies the outcome: success, retryable
-// (429/5xx/transport), or permanent. A multi-prompt attempt sends one
-// user message per prompt and maps choices back by index — the batch
-// wire contract.
-func (r *Remote) attemptN(ctx context.Context, prompts []string) ([]string, error) {
+// attempt runs one HTTP round trip under the per-attempt timeout and
+// classifies the outcome: success, retryable (429/5xx/transport), or
+// permanent. The request is a one-message conversation; the reply is
+// its first choice.
+func (r *Remote) attempt(ctx context.Context, prompt string) (string, error) {
 	actx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 	defer cancel()
 
-	msgs := make([]chatMessage, len(prompts))
-	for i, p := range prompts {
-		msgs[i] = chatMessage{Role: "user", Content: p}
-	}
-	body, err := json.Marshal(chatRequest{Model: r.cfg.Upstream, Messages: msgs})
+	body, err := json.Marshal(chatRequest{
+		Model:    r.cfg.Upstream,
+		Messages: []chatMessage{{Role: "user", Content: prompt}},
+	})
 	if err != nil {
-		return nil, fmt.Errorf("backend: encode request: %w", err)
+		return "", fmt.Errorf("backend: encode request: %w", err)
 	}
 	url := strings.TrimSuffix(r.cfg.Endpoint, "/") + "/chat/completions"
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("backend: build request: %w", err)
+		return "", fmt.Errorf("backend: build request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if r.cfg.APIKey != "" {
@@ -567,46 +603,42 @@ func (r *Remote) attemptN(ctx context.Context, prompts []string) ([]string, erro
 	if err != nil {
 		// The caller cancelled: not retryable, surface the cancellation.
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return "", ctx.Err()
 		}
 		// Everything else — refused connections, attempt timeouts
 		// (hangs), resets — is transport-level and worth retrying.
-		return nil, &retryableError{err: fmt.Errorf("backend: %w", err)}
+		return "", &retryableError{err: fmt.Errorf("backend: %w", err)}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 10<<20))
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return "", ctx.Err()
 		}
-		return nil, &retryableError{err: fmt.Errorf("backend: read response: %w", err)}
+		return "", &retryableError{err: fmt.Errorf("backend: read response: %w", err)}
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		// parsed below
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		return nil, &retryableError{
+		return "", &retryableError{
 			err:        fmt.Errorf("backend: upstream %s: %s", resp.Status, clipBody(data)),
 			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), r.cfg.Clock.Now()),
 		}
 	default:
-		return nil, fmt.Errorf("backend: upstream %s: %s", resp.Status, clipBody(data))
+		return "", fmt.Errorf("backend: upstream %s: %s", resp.Status, clipBody(data))
 	}
 	var cr chatResponse
 	if err := json.Unmarshal(data, &cr); err != nil {
-		return nil, fmt.Errorf("backend: parse response: %w", err)
+		return "", fmt.Errorf("backend: parse response: %w", err)
 	}
 	if cr.Error != nil {
-		return nil, fmt.Errorf("backend: upstream error: %s", cr.Error.Message)
+		return "", fmt.Errorf("backend: upstream error: %s", cr.Error.Message)
 	}
-	if len(cr.Choices) < len(prompts) {
-		return nil, fmt.Errorf("backend: upstream returned %d choices for %d prompts", len(cr.Choices), len(prompts))
+	if len(cr.Choices) == 0 {
+		return "", errors.New("backend: upstream returned no choices")
 	}
-	outs := make([]string, len(prompts))
-	for i := range prompts {
-		outs[i] = cr.Choices[i].Message.Content
-	}
-	return outs, nil
+	return cr.Choices[0].Message.Content, nil
 }
 
 // parseRetryAfter honors both Retry-After forms: delta-seconds and an

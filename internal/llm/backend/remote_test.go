@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -556,5 +557,112 @@ func TestRemoteCacheEviction(t *testing.T) {
 		if v, ok := c.get(k); !ok || v != want {
 			t.Errorf("get(%q) = %q, %v", k, v, ok)
 		}
+	}
+}
+
+// TestRemoteOpenAIContract drives Remote against a server shaped like
+// the real chat-completions API rather than the repository's stub: the
+// messages array is one conversation, answered with n choices (default
+// 1) for its last message inside the id/object/created/usage envelope.
+// Concurrent distinct prompts each get their own reply, every request is
+// a one-message conversation, and a 200 carrying no choices is an error
+// (or the fallback's answer), never a panic.
+func TestRemoteOpenAIContract(t *testing.T) {
+	const n = 8
+	userMsgs := make(chan int, n) // one send per request
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Model    string        `json:"model"`
+			Messages []chatMessage `json:"messages"`
+			N        *int          `json:"n"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Messages) == 0 {
+			http.Error(w, `{"error":{"message":"bad request"}}`, http.StatusBadRequest)
+			return
+		}
+		users := 0
+		for _, m := range req.Messages {
+			if m.Role == "user" {
+				users++
+			}
+		}
+		userMsgs <- users
+		count := 1
+		if req.N != nil {
+			count = *req.N
+		}
+		reply := chatMessage{Role: "assistant", Content: "reply:" + req.Messages[len(req.Messages)-1].Content}
+		choices := make([]map[string]any, count)
+		for i := range choices {
+			choices[i] = map[string]any{"index": i, "message": reply, "finish_reason": "stop"}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(map[string]any{ // a failed write shows up as the client's error
+			"id":      "chatcmpl-test",
+			"object":  "chat.completion",
+			"created": 1767225600,
+			"model":   req.Model,
+			"choices": choices,
+			"usage":   map[string]int{"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 2},
+		})
+	}))
+	defer srv.Close()
+	ctrs := &Counters{}
+	r, err := NewRemote(RemoteConfig{Endpoint: srv.URL, CacheSize: -1, Counters: ctrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = r.Complete(context.Background(), fmt.Sprintf("prompt-%d", i))
+		}(i)
+	}
+	wg.Wait()
+	close(userMsgs)
+	for i := 0; i < n; i++ {
+		if want := fmt.Sprintf("reply:prompt-%d", i); errs[i] != nil || outs[i] != want {
+			t.Errorf("prompt %d = %q, %v; want %q", i, outs[i], errs[i], want)
+		}
+	}
+	requests := 0
+	for users := range userMsgs {
+		requests++
+		if users != 1 {
+			t.Errorf("request carried %d user messages, want 1", users)
+		}
+	}
+	if requests != n {
+		t.Errorf("server saw %d requests, want %d", requests, n)
+	}
+	if st := ctrs.Snapshot(); st.Requests != n || st.Failures != 0 || st.Fallbacks != 0 {
+		t.Errorf("counters %+v, want %d requests and no failures or fallbacks", st, n)
+	}
+
+	// A 200 whose choices array is empty.
+	empty := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"id":"chatcmpl-empty","object":"chat.completion","created":1767225600,"choices":[],"usage":{"prompt_tokens":1,"completion_tokens":0,"total_tokens":1}}`)
+	}))
+	defer empty.Close()
+	bare, err := NewRemote(RemoteConfig{Endpoint: empty.URL, CacheSize: -1, Counters: &Counters{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := bare.Complete(context.Background(), "q"); err == nil || !strings.Contains(err.Error(), "no choices") {
+		t.Errorf("empty choices = %q, %v; want a no-choices error", out, err)
+	}
+	withFallback, err := NewRemote(RemoteConfig{Endpoint: empty.URL, CacheSize: -1, Counters: &Counters{}, Fallback: llm.NewSim()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := withFallback.Complete(context.Background(), simPrompt)
+	want, _ := llm.NewSim().Complete(context.Background(), simPrompt)
+	if err != nil || out != want {
+		t.Errorf("empty choices with fallback = %q, %v; want sim's %q", out, err, want)
 	}
 }

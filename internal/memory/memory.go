@@ -205,7 +205,12 @@ func contentHash(text string) string {
 // never break the prompt protocol (the paper's §5 notes memory files can
 // be targets of adversarial data).
 func sanitize(text string) string {
-	return strings.ReplaceAll(text, "### ", "")
+	// Removing one "### " can join its neighbours into another
+	// ("##### # "), so repeat until none is left.
+	for strings.Contains(text, "### ") {
+		text = strings.ReplaceAll(text, "### ", "")
+	}
+	return text
 }
 
 // hasContentLocked reports whether the content hash exists in any
@@ -524,11 +529,10 @@ func (s *Store) Load(path string) error {
 
 // ReplaceItems replaces the store contents — attached segments included —
 // with the given items, preserving their IDs, sequence numbers and
-// importance: the restore half of a v1 session snapshot and of
-// knowledge.json. Restored text passes through the same sanitizer as
-// Add, so a crafted memory file cannot reintroduce the prompt framing
-// the sanitizer exists to strip, and duplicate content is dropped
-// exactly as Add drops it.
+// importance: the restore half of knowledge.json. Restored text passes
+// through the same sanitizer as Add, so a crafted memory file cannot
+// reintroduce the prompt framing the sanitizer exists to strip, and
+// duplicate content is dropped exactly as Add drops it.
 func (s *Store) ReplaceItems(items []Item) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -539,10 +543,10 @@ func (s *Store) ReplaceItems(items []Item) {
 }
 
 // RestoreParts replaces the store contents with the given base segments
-// plus delta items — the restore half of a v2 (segmented) session
-// snapshot. Segments are attached by reference (and retained); delta
-// items pass through the same sanitize-and-dedup path as ReplaceItems,
-// including dedup against the attached segments.
+// plus delta items — the restore half of a session snapshot. Segments
+// are attached by reference (and retained); delta items pass through
+// the same sanitize-and-dedup path as ReplaceItems, including dedup
+// against the attached segments.
 func (s *Store) RestoreParts(segs []*Segment, delta []Item) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -597,7 +601,7 @@ func (s *Store) Segments() []*Segment {
 }
 
 // Parts returns the attached segments and a copy of the delta items —
-// the serialization halves of a v2 session snapshot.
+// the serialization halves of a session snapshot.
 func (s *Store) Parts() ([]*Segment, []Item) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

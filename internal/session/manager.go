@@ -897,7 +897,7 @@ func (m *Manager) persistSegments(segs []*memory.Segment) error {
 	return nil
 }
 
-// resolveSegment maps a v2 snapshot's segment reference to a live
+// resolveSegment maps a snapshot's segment reference to a live
 // segment: the process-wide intern table first (free), the segment file
 // second (rebuild + verify + intern).
 func (m *Manager) resolveSegment(ref SegmentRef) (*memory.Segment, error) {
@@ -944,10 +944,8 @@ func (m *Manager) writeSnapshotData(id string, snap Snapshot) (string, error) {
 	}
 	// Segment files first: a session file must never reference a segment
 	// that is not yet durable.
-	if snap.Schema >= snapshotSchema {
-		if err := m.persistSegments(snap.segs); err != nil {
-			return "", err
-		}
+	if err := m.persistSegments(snap.segs); err != nil {
+		return "", err
 	}
 	buf := snapBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -970,15 +968,12 @@ func (m *Manager) writeSnapshotData(id string, snap Snapshot) (string, error) {
 	return path, nil
 }
 
-// snapshotSchema is the current snapshot schema version. Version 2
-// splits the memory into segment references + delta items; version 1
-// (the zero value of Schema, for files that predate the field) inlines
-// the whole item list in Memory. Sessions with no attached segments are
-// still written in the v1 shape, so the common untrained case stays
-// readable by older builds.
+// snapshotSchema is the one snapshot schema: the memory is segment
+// references plus delta items. An untrained session has no segments, so
+// its whole memory is the delta. readSnapshot refuses every other value.
 const snapshotSchema = 2
 
-// SegmentRef names one attached memory segment in a v2 snapshot. The
+// SegmentRef names one attached memory segment in a snapshot. The
 // items themselves live once per segment in
 // <SnapshotDir>/segments/<fingerprint>.json (and, when the segment is
 // interned, in memory); the session file carries only this reference.
@@ -992,15 +987,12 @@ type SegmentRef struct {
 // rebuild an identical agent — its configuration, knowledge memory,
 // audit trace and lifecycle state.
 type Snapshot struct {
-	ID      string    `json:"id"`
-	Schema  int       `json:"schema,omitempty"`
-	Config  Config    `json:"config"`
-	Trained bool      `json:"trained"`
-	Created time.Time `json:"created"`
-	Saved   time.Time `json:"saved"`
-	// Memory is the v1 inline item list; v2 snapshots use Segments +
-	// Delta instead.
-	Memory   []memory.Item `json:"memory,omitempty"`
+	ID       string        `json:"id"`
+	Schema   int           `json:"schema"`
+	Config   Config        `json:"config"`
+	Trained  bool          `json:"trained"`
+	Created  time.Time     `json:"created"`
+	Saved    time.Time     `json:"saved"`
 	Segments []SegmentRef  `json:"segments,omitempty"`
 	Delta    []memory.Item `json:"delta,omitempty"`
 	Trace    []trace.Event `json:"trace"`
@@ -1022,39 +1014,35 @@ func readSnapshot(path string) (Snapshot, error) {
 	if err := json.NewDecoder(f).Decode(&snap); err != nil {
 		return Snapshot{}, fmt.Errorf("session: parse snapshot %s: %w", path, err)
 	}
+	if snap.Schema != snapshotSchema {
+		return Snapshot{}, fmt.Errorf("session: snapshot %s has schema %d, want %d", path, snap.Schema, snapshotSchema)
+	}
 	return snap, nil
 }
 
 // restore rebuilds a live session from a snapshot: the agent stack is
 // reconstructed through the factory, then the memory and trace are
-// replaced with the persisted state. resolve maps a v2 segment
-// reference to a live segment (intern table first, segment file
-// second); v1 snapshots never call it.
+// replaced with the persisted state. resolve maps a segment reference
+// to a live segment (intern table first, segment file second).
 func (snap Snapshot) restore(resolve func(SegmentRef) (*memory.Segment, error), use *atomic.Int64, now func() time.Time) (*Session, error) {
 	s, err := newSession(snap.ID, snap.Config, use, now)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case snap.Schema >= snapshotSchema:
-		segs := snap.segs
-		if segs == nil {
-			// Read from disk: re-attach each referenced segment, sharing
-			// the interned copy whenever this process already holds it.
-			segs = make([]*memory.Segment, 0, len(snap.Segments))
-			for _, ref := range snap.Segments {
-				seg, err := resolve(ref)
-				if err != nil {
-					return nil, err
-				}
-				segs = append(segs, seg)
+	segs := snap.segs
+	if segs == nil {
+		// Read from disk: re-attach each referenced segment, sharing the
+		// interned copy whenever this process already holds it.
+		segs = make([]*memory.Segment, 0, len(snap.Segments))
+		for _, ref := range snap.Segments {
+			seg, err := resolve(ref)
+			if err != nil {
+				return nil, err
 			}
+			segs = append(segs, seg)
 		}
-		s.agent.Memory.RestoreParts(segs, snap.Delta)
-	default:
-		// v1 snapshot: the whole memory is inline.
-		s.agent.Memory.ReplaceItems(snap.Memory)
 	}
+	s.agent.Memory.RestoreParts(segs, snap.Delta)
 	s.agent.Trace = trace.FromEvents(snap.Trace)
 	s.created = snap.Created
 	s.trained = snap.Trained

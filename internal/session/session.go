@@ -317,31 +317,24 @@ func (s *Session) snapshotLocked() Snapshot {
 	s.st.Lock()
 	trained := s.trained
 	s.st.Unlock()
+	segs, delta := s.agent.Memory.Parts()
 	snap := Snapshot{
 		ID:      s.id,
+		Schema:  snapshotSchema,
 		Config:  s.cfg,
 		Trained: trained,
 		Created: s.created,
 		Saved:   s.now(),
+		Delta:   delta,
 		Trace:   s.agent.Trace.Events(),
+		segs:    segs,
 	}
-	segs, delta := s.agent.Memory.Parts()
-	if len(segs) == 0 {
-		// No segments: keep the exact v1 shape, so snapshots of
-		// untrained sessions stay readable by older builds.
-		snap.Memory = delta
-		return snap
-	}
-	snap.Schema = snapshotSchema
-	snap.Delta = delta
-	snap.segs = segs
-	snap.Segments = make([]SegmentRef, len(segs))
-	for i, seg := range segs {
-		snap.Segments[i] = SegmentRef{
+	for _, seg := range segs {
+		snap.Segments = append(snap.Segments, SegmentRef{
 			ID:          seg.ID(),
 			Fingerprint: seg.Fingerprint(),
 			Items:       seg.Len(),
-		}
+		})
 	}
 	return snap
 }

@@ -18,7 +18,7 @@ import (
 // high confidence, so tests converge quickly and deterministically.
 const vulnQuestion = "Which is more vulnerable to solar activity? The fiber optic cable that connects Brazil to Europe or the one that connects the US to Europe?"
 
-func newTestManager(t *testing.T, cfg ManagerConfig) *Manager {
+func newTestManager(t testing.TB, cfg ManagerConfig) *Manager {
 	t.Helper()
 	m := NewManager(cfg)
 	t.Cleanup(m.Shutdown)

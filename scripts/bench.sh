@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Benchmark sweeps: runs the session-runtime, ask-hot-path,
-# streaming/batching and retrieval-pipeline benchmark suites at -cpu 8
+# Benchmark sweeps: runs the session-runtime, ask-hot-path, streaming
+# and retrieval-pipeline benchmark suites at -cpu 8
 # and records the results as BENCH_sessions.json, BENCH_ask.json,
 # BENCH_stream.json and BENCH_investigate.json in the repo root; the
 # footprint and incident-pipeline suites write BENCH_footprint.json and
@@ -48,11 +48,10 @@ run_suite ask \
   BENCH_ask.json
 
 # The interactivity suite: time-to-first-event and time-to-first-round
-# against the full investigation, plus batched vs unbatched remote
-# completions. The acceptance line is FirstEvent >= 5x below
-# FullInvestigate.
+# against the full investigation. The acceptance line is FirstEvent >=
+# 5x below FullInvestigate.
 run_suite stream \
-  '^BenchmarkStream(FirstEvent|FirstRound|FullInvestigate)$|^BenchmarkRemote(Unbatched|Batched)$' \
+  '^BenchmarkStream(FirstEvent|FirstRound|FullInvestigate)$' \
   BENCH_stream.json
 
 # The retrieval-pipeline suite: cold investigation and one

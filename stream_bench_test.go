@@ -1,25 +1,16 @@
-// Streaming + remote-batching benchmarks. The interactivity claim is a
-// latency ratio: a subscriber on the event stream hears about an
-// investigation long before the investigation returns, so the suite pins
-// time-to-first-event and time-to-first-round against the full
-// investigation wall time. The batching pair pins the throughput effect
-// of coalescing concurrent prompts into one upstream call when the
-// upstream charges a fixed per-call overhead. scripts/bench.sh records
-// the results as BENCH_stream.json.
+// Streaming benchmarks. The interactivity claim is a latency ratio: a
+// subscriber on the event stream hears about an investigation long
+// before the investigation returns, so the suite pins time-to-first-event
+// and time-to-first-round against the full investigation wall time.
+// scripts/bench.sh records the results as BENCH_stream.json.
 package repro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/llm/backend"
 	"repro/internal/session"
 	"repro/internal/stream"
 	"repro/internal/websim"
@@ -126,93 +117,4 @@ func BenchmarkStreamFullInvestigate(b *testing.B) {
 		}
 		b.StartTimer()
 	}
-}
-
-// benchUpstream is an OpenAI-compatible stub whose cost model is a fixed
-// per-call overhead plus a small per-prompt cost, calls fully serialized
-// — the shape that makes micro-batching pay: N prompts in one call cost
-// overhead + N·c instead of N·(overhead + c).
-func benchUpstream(b *testing.B) *httptest.Server {
-	b.Helper()
-	var mu sync.Mutex
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /chat/completions", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Messages []struct {
-				Content string `json:"content"`
-			} `json:"messages"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		mu.Lock()
-		time.Sleep(200 * time.Microsecond) // per-call overhead
-		type msg struct {
-			Role    string `json:"role"`
-			Content string `json:"content"`
-		}
-		type choice struct {
-			Message msg `json:"message"`
-		}
-		choices := make([]choice, 0, len(req.Messages))
-		for _, m := range req.Messages {
-			time.Sleep(20 * time.Microsecond) // per-prompt cost
-			choices = append(choices, choice{Message: msg{Role: "assistant", Content: "echo:" + m.Content}})
-		}
-		mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"choices": choices})
-	})
-	srv := httptest.NewServer(mux)
-	b.Cleanup(srv.Close)
-	return srv
-}
-
-func benchRemote(b *testing.B, srv *httptest.Server, window time.Duration, max int) *backend.Remote {
-	b.Helper()
-	r, err := backend.NewRemote(backend.RemoteConfig{
-		Endpoint:    srv.URL,
-		CacheSize:   -1, // every completion goes upstream
-		BatchWindow: window,
-		BatchMax:    max,
-		Counters:    &backend.Counters{},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return r
-}
-
-// runRemoteCompletions drives parallel distinct-prompt completions —
-// distinct so neither the cache (disabled anyway) nor singleflight can
-// shortcut the upstream path.
-func runRemoteCompletions(b *testing.B, r *backend.Remote) {
-	var n atomic.Int64
-	ctx := context.Background()
-	b.SetParallelism(4) // 4×GOMAXPROCS concurrent prompts: a busy manager
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			p := fmt.Sprintf("prompt-%d", n.Add(1))
-			if _, err := r.Complete(ctx, p); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkRemoteUnbatched: every prompt is its own upstream call, so
-// concurrent callers queue behind the per-call overhead one by one.
-func BenchmarkRemoteUnbatched(b *testing.B) {
-	r := benchRemote(b, benchUpstream(b), 0, 0)
-	runRemoteCompletions(b, r)
-}
-
-// BenchmarkRemoteBatched: a 2ms window coalesces the same concurrency
-// into few upstream calls, paying the per-call overhead once per batch.
-func BenchmarkRemoteBatched(b *testing.B) {
-	r := benchRemote(b, benchUpstream(b), 2*time.Millisecond, 32)
-	runRemoteCompletions(b, r)
 }
