@@ -27,6 +27,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,7 +84,7 @@ func run(args []string) error {
 	threshold := fs.Int("threshold", 7, "confidence threshold for self-learning")
 	retrievalWorkers := fs.Int("retrieval-workers", 0, "concurrent web requests per self-learning round (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 	model := fs.String("model", "", "LLM backend: sim, ensemble, remote (empty = sim)")
-	showTrace := fs.Bool("trace", false, "print the agent trace afterwards")
+	showTrace := fs.Bool("trace", false, "print the session's event log as JSON lines afterwards")
 	if err := fs.Parse(args[1:]); err != nil {
 		return usageError{err.Error()}
 	}
@@ -114,7 +115,13 @@ func run(args []string) error {
 	}
 	if *showTrace {
 		fmt.Println("\n--- trace ---")
-		fmt.Print(sess.TraceString())
+		evs, _, _ := sess.Events(0)
+		enc := json.NewEncoder(os.Stdout)
+		for _, e := range evs {
+			if err := enc.Encode(e); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -44,7 +44,7 @@
 //	POST   /v1/sessions/{id}/report    investigate + markdown report
 //	POST   /v1/sessions/{id}/snapshot  persist session state to disk
 //	POST   /v1/sessions/{id}/drain     snapshot + close for migration
-//	GET    /v1/sessions/{id}/trace     the audit trace
+//	GET    /v1/sessions/{id}/trace     the retained event log (audit trail)
 //	GET    /v1/sessions/{id}/events    live investigation steps (SSE)
 //	GET    /v1/stats                   namespaced runtime counters
 //	GET    /v1/metrics                 Prometheus text exposition

@@ -20,7 +20,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/memory"
 	"repro/internal/session"
-	"repro/internal/trace"
+	"repro/internal/stream"
 )
 
 // footprintReport is the JSON shape of BENCH_footprint.json.
@@ -51,7 +51,7 @@ type inlineSnapshot struct {
 	Created time.Time      `json:"created"`
 	Saved   time.Time      `json:"saved"`
 	Memory  []memory.Item  `json:"memory"`
-	Trace   []trace.Event  `json:"trace"`
+	Events  []stream.Event `json:"events"`
 }
 
 // heapInUse settles the heap and reads live bytes.
@@ -173,7 +173,7 @@ func TestFootprintReport(t *testing.T) {
 	v1 := inlineSnapshot{
 		ID: snap.ID, Config: snap.Config, Trained: snap.Trained,
 		Created: snap.Created, Saved: snap.Saved,
-		Memory: sessItems.All(), Trace: snap.Trace,
+		Memory: sessItems.All(), Events: snap.Events,
 	}
 	v1Data, err := json.Marshal(v1)
 	if err != nil {

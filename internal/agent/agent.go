@@ -26,7 +26,6 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/retrieval"
 	"repro/internal/stream"
-	"repro/internal/trace"
 	"repro/internal/websim"
 )
 
@@ -84,7 +83,7 @@ type Config struct {
 	// then the planned result pages fetch through the same pool. 0
 	// selects the default width (min(GOMAXPROCS, 8)); 1 degenerates to
 	// the fully sequential pipeline. Committed output — memory items,
-	// trace, answers — is byte-identical at every setting; only wall
+	// events, answers — is byte-identical at every setting; only wall
 	// time changes.
 	RetrievalWorkers int
 	// Runner configures the Auto-GPT training loop.
@@ -113,13 +112,13 @@ type Agent struct {
 	Model  llm.Model
 	Web    websim.Web
 	Memory *memory.Store
-	Trace  *trace.Log
 	Config Config
-	// Observer, when set, receives incremental investigation events:
-	// every Auto-GPT step during Train, and every knowledge-testing
-	// round, partial answer and self-learning pass during Investigate.
-	// Observation is passive — behaviour and output are byte-identical
-	// with or without it.
+	// Observer, when set, receives the agent's step events — its only
+	// record of what it did: every Auto-GPT step during Train, every
+	// search and fetch of a self-learning pass, and every
+	// knowledge-testing round, partial answer and pass summary during
+	// Investigate. Observation is passive — behaviour and output are
+	// byte-identical with or without it.
 	Observer stream.Observer
 }
 
@@ -128,12 +127,11 @@ func New(role Role, model llm.Model, web websim.Web, store *memory.Store, cfg Co
 	if store == nil {
 		store = memory.NewStore(memory.DefaultWeights)
 	}
-	return &Agent{Role: role, Model: model, Web: web, Memory: store, Trace: trace.New(), Config: cfg}
+	return &Agent{Role: role, Model: model, Web: web, Memory: store, Config: cfg}
 }
 
 // Clone returns an agent with the same role, model and config, an
-// independent snapshot of the memory, a fresh trace, no observer, and
-// the given web.
+// independent snapshot of the memory, no observer, and the given web.
 // Clones are the unit of parallelism in the eval harness: concurrent
 // investigations must never share a memory store (writes would interleave
 // nondeterministically) or an engine's counters, so each worker runs on a
@@ -145,7 +143,6 @@ func (a *Agent) Clone(web websim.Web) *Agent {
 		Model:  a.Model,
 		Web:    web,
 		Memory: a.Memory.Clone(),
-		Trace:  trace.New(),
 		Config: a.Config,
 	}
 }
@@ -170,13 +167,11 @@ func (a *Agent) Train(ctx context.Context) (TrainReport, error) {
 		Model:    a.Model,
 		Web:      a.Web,
 		Memory:   a.Memory,
-		Trace:    a.Trace,
 		Config:   rcfg,
 		Observer: a.Observer,
 	}
 	var report TrainReport
 	for _, goal := range a.Role.Goals {
-		a.Trace.Add(trace.KindNote, "training goal: %s", goal)
 		gr, err := runner.RunGoal(ctx, a.roleText(), goal)
 		if err != nil {
 			return report, fmt.Errorf("agent: train goal %q: %w", goal, err)
@@ -217,7 +212,6 @@ func (a *Agent) Ask(ctx context.Context, question string) (Answer, error) {
 	if err != nil {
 		return Answer{}, fmt.Errorf("agent: parse answer: %w", err)
 	}
-	a.Trace.Add(trace.KindConfidence, "question %q -> confidence %d", truncate(question, 60), reply.Confidence)
 	return Answer{Text: reply.Answer, Verdict: reply.Verdict, Confidence: reply.Confidence, Missing: reply.Missing}, nil
 }
 
@@ -250,10 +244,12 @@ func (a *Agent) ProposeSearches(ctx context.Context, question string) ([]string,
 // are planned so each distinct URL is fetched exactly once per pass —
 // a URL surfaced by two queries used to be fetched twice and rejected
 // by the content dedup only after the wasted fetch — and the fetched
-// pages then commit to the memory store and trace in canonical
-// (query-order, rank-order) sequence. Because commit order is fixed,
-// the memorized items and the trace are byte-identical at any
-// Config.RetrievalWorkers setting, including the sequential width 1.
+// pages then commit to the memory store in canonical (query-order,
+// rank-order) sequence, emitting one search event per query and one
+// fetch event per memorized or failed page as they go. Because commit
+// order is fixed, the memorized items and the events are byte-identical
+// at any Config.RetrievalWorkers setting, including the sequential
+// width 1.
 //
 // Transient search/fetch failures cost the query or page, not the
 // pass; the next round can retry them. Cancellation drains the worker
@@ -271,17 +267,17 @@ func (a *Agent) SelfLearn(ctx context.Context, queries []string) (int, error) {
 		return 0, fmt.Errorf("agent: self-learn: %w", err)
 	}
 	// Commit phase: single-goroutine replay in canonical order. Every
-	// trace line and memory add lands exactly where the sequential loop
+	// event and memory add lands exactly where the sequential loop
 	// would have put it.
 	added := 0
 	for qi, s := range searches {
 		if s.Err != nil {
 			// A transient search failure costs this query, not the whole
 			// investigation; the next round can retry it.
-			a.Trace.Add(trace.KindError, "self-learn search %q: %v", s.Query, s.Err)
+			a.Observer.Emit(stream.Event{Type: stream.EventSearch, Query: s.Query, Err: s.Err.Error()})
 			continue
 		}
-		a.Trace.Add(trace.KindSearch, "self-learn %q -> %d results", s.Query, len(s.Results))
+		a.Observer.Emit(stream.Event{Type: stream.EventSearch, Query: s.Query, Results: len(s.Results)})
 		for ri := range s.Results {
 			fi, claimed := plan.Claim(qi, ri)
 			if !claimed {
@@ -295,12 +291,12 @@ func (a *Agent) SelfLearn(ctx context.Context, queries []string) (int, error) {
 			if f.Err != nil {
 				// Access-gated pages (social without crawler, restricted
 				// papers) are an expected dead end, not a failure.
-				a.Trace.Add(trace.KindError, "self-learn fetch %s: %v", f.URL, f.Err)
+				a.Observer.Emit(stream.Event{Type: stream.EventFetch, URL: f.URL, Query: s.Query, Err: f.Err.Error()})
 				continue
 			}
 			if _, ok := a.Memory.Add(f.Page.Body, f.Page.URL, s.Query); ok {
 				added++
-				a.Trace.Add(trace.KindMemoryAdd, "self-learn memorized %s", f.Page.URL)
+				a.Observer.Emit(stream.Event{Type: stream.EventFetch, URL: f.Page.URL, Query: s.Query})
 			}
 		}
 	}
@@ -342,7 +338,6 @@ func (a *Agent) Investigate(ctx context.Context, question string) (Investigation
 		}
 		rec := Round{Round: round, Confidence: ans.Confidence, Verdict: ans.Verdict}
 		inv.Final = ans
-		a.Trace.Add(trace.KindRound, "round %d: confidence %d verdict %q", round, ans.Confidence, ans.Verdict)
 		a.Observer.Emit(stream.Event{Type: stream.EventRound, Round: round, Confidence: ans.Confidence, Verdict: ans.Verdict})
 		a.Observer.Emit(stream.Event{Type: stream.EventPartial, Round: round, Text: ans.Text})
 
@@ -483,11 +478,4 @@ func (a *Agent) SawSource(fragment string) bool {
 
 func (a *Agent) roleText() string {
 	return a.Role.Name + ": " + a.Role.Description
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/llm"
 	"repro/internal/memory"
+	"repro/internal/stream"
 	"repro/internal/websim"
 	"repro/internal/world"
 )
@@ -209,15 +210,41 @@ func TestSelfLearnSkipsGatedSources(t *testing.T) {
 	}
 }
 
+// TestAgentTraceAudit: an investigation's events let an operator audit
+// it — the rounds, every self-learning query, and each memorized page
+// with the URL and the query that found it.
 func TestAgentTraceAudit(t *testing.T) {
 	bob := newBob(t, websim.Options{}, Config{})
+	evs := recordEvents(bob)
 	if _, err := bob.Investigate(context.Background(), cableQuestion); err != nil {
 		t.Fatal(err)
 	}
-	tr := bob.Trace.String()
-	for _, want := range []string{"round 0", "self-learn", "memorized"} {
-		if !strings.Contains(tr, want) {
-			t.Errorf("trace missing %q:\n%s", want, tr)
+	sources := map[string]bool{}
+	for _, src := range bob.Memory.Sources() {
+		sources[src] = true
+	}
+	queries := map[string]bool{}
+	rounds, memorized := 0, 0
+	for _, e := range *evs {
+		switch e.Type {
+		case stream.EventRound:
+			rounds++
+		case stream.EventSearch:
+			if e.Query == "" {
+				t.Errorf("search event without a query: %+v", e)
+			}
+			queries[e.Query] = true
+		case stream.EventFetch:
+			if e.Err != "" {
+				continue
+			}
+			memorized++
+			if !sources[e.URL] || !queries[e.Query] {
+				t.Errorf("fetch %+v names no memorized source or no earlier search", e)
+			}
 		}
+	}
+	if rounds == 0 || len(queries) == 0 || memorized == 0 {
+		t.Errorf("events hold %d rounds, %d searches, %d memorized fetches; want each > 0: %+v", rounds, len(queries), memorized, *evs)
 	}
 }

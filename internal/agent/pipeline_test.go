@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,17 +12,27 @@ import (
 	"repro/internal/autogpt"
 	"repro/internal/corpus"
 	"repro/internal/llm"
+	"repro/internal/stream"
 	"repro/internal/websim"
 	"repro/internal/world"
 )
 
+// recordEvents attaches an observer to a that collects every event it
+// emits, in order.
+func recordEvents(a *Agent) *[]stream.Event {
+	var evs []stream.Event
+	a.Observer = func(e stream.Event) { evs = append(evs, e) }
+	return &evs
+}
+
 // runFull trains a fresh Bob and investigates the cable question with
-// the given retrieval width, returning the agent and the investigation
-// for output comparison.
-func runFull(t *testing.T, cfg Config) (*Agent, Investigation) {
+// the given retrieval width, returning the agent, the investigation and
+// every event the agent emitted, for output comparison.
+func runFull(t *testing.T, cfg Config) (*Agent, Investigation, []stream.Event) {
 	t.Helper()
 	eng := websim.NewEngine(corpus.Generate(world.Default(), 42), websim.Options{})
 	bob := New(BobRole(), llm.NewSim(), eng, nil, cfg)
+	evs := recordEvents(bob)
 	if _, err := bob.Train(context.Background()); err != nil {
 		t.Fatalf("train: %v", err)
 	}
@@ -31,11 +40,11 @@ func runFull(t *testing.T, cfg Config) (*Agent, Investigation) {
 	if err != nil {
 		t.Fatalf("investigate: %v", err)
 	}
-	return bob, inv
+	return bob, inv, *evs
 }
 
 // TestRetrievalPipelineByteIdentity is the tentpole invariant: the
-// committed memory, the trace, and the investigation are item-for-item
+// committed memory, the events, and the investigation are item-for-item
 // identical whether the retrieval rounds ran sequentially or fanned
 // out — the pipeline only reorders the waiting, never the commits.
 func TestRetrievalPipelineByteIdentity(t *testing.T) {
@@ -47,16 +56,16 @@ func TestRetrievalPipelineByteIdentity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			seq := base
 			seq.RetrievalWorkers = 1
-			refAgent, refInv := runFull(t, seq)
+			refAgent, refInv, refEvents := runFull(t, seq)
 			for _, workers := range []int{2, 8} {
 				cfg := base
 				cfg.RetrievalWorkers = workers
-				got, gotInv := runFull(t, cfg)
+				got, gotInv, gotEvents := runFull(t, cfg)
 				if !reflect.DeepEqual(got.Memory.All(), refAgent.Memory.All()) {
 					t.Errorf("workers=%d: committed memory diverged from sequential run", workers)
 				}
-				if !reflect.DeepEqual(got.Trace.Events(), refAgent.Trace.Events()) {
-					t.Errorf("workers=%d: trace diverged from sequential run", workers)
+				if !reflect.DeepEqual(gotEvents, refEvents) {
+					t.Errorf("workers=%d: events diverged from sequential run", workers)
 				}
 				if !reflect.DeepEqual(gotInv, refInv) {
 					t.Errorf("workers=%d: investigation diverged from sequential run", workers)
@@ -126,6 +135,7 @@ func (w *blockingWeb) Fetch(ctx context.Context, _ string) (websim.Page, error) 
 func TestSelfLearnCancelNoLeak(t *testing.T) {
 	web := &blockingWeb{}
 	bob := New(BobRole(), llm.NewSim(), web, nil, Config{RetrievalWorkers: 4})
+	evs := recordEvents(bob)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	type result struct {
@@ -161,9 +171,9 @@ func TestSelfLearnCancelNoLeak(t *testing.T) {
 		t.Fatalf("goroutines did not drain: before=%d now=%d", before, n)
 	}
 	// Nothing may have been committed for the cancelled round.
-	for _, ev := range bob.Trace.Events() {
-		if strings.Contains(ev.Detail, "self-learn memorized") {
-			t.Fatalf("cancelled round committed memory: %s", ev.Detail)
+	for _, ev := range *evs {
+		if ev.Type == stream.EventFetch {
+			t.Fatalf("cancelled round recorded a fetch: %+v", ev)
 		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/retrieval"
 	"repro/internal/stream"
-	"repro/internal/trace"
 	"repro/internal/websim"
 )
 
@@ -41,7 +40,7 @@ type Config struct {
 	// RetrievalWorkers bounds concurrent web requests when a step fans
 	// out (the CoT subquery searches). 0 selects the default width
 	// (min(GOMAXPROCS, 8)); 1 forces sequential requests. History and
-	// trace output are byte-identical at any setting. agent.Train
+	// events are byte-identical at any setting. agent.Train
 	// propagates the agent-level width here when this is 0.
 	RetrievalWorkers int
 }
@@ -61,11 +60,11 @@ type Runner struct {
 	Model  llm.Model
 	Web    websim.Web
 	Memory *memory.Store
-	Trace  *trace.Log
 	Config Config
 	// Observer, when set, receives every THOUGHTS/COMMAND/observation
-	// step as it happens. Observation is passive: it never changes what
-	// the runner does, only makes it visible.
+	// step as it happens — the runner's only record of what it did.
+	// Observation is passive: it never changes what the runner does,
+	// only makes it visible.
 	Observer stream.Observer
 
 	files map[string]string
@@ -103,7 +102,6 @@ func (r *Runner) RunGoal(ctx context.Context, role, goal string) (GoalReport, er
 		if err != nil {
 			return report, fmt.Errorf("autogpt: model: %w", err)
 		}
-		r.Trace.Add(trace.KindModelCall, "step %d for goal %q", step, truncate(goal, 60))
 		reply, err := prompt.ParseStep(out)
 		if err != nil {
 			return report, fmt.Errorf("autogpt: parse step: %w", err)
@@ -134,7 +132,6 @@ func (r *Runner) RunGoal(ctx context.Context, role, goal string) (GoalReport, er
 // execute runs one command, returning whether the goal is complete and
 // the history lines to append.
 func (r *Runner) execute(ctx context.Context, cmd prompt.Command, goal string, cfg Config, report *GoalReport) (bool, []string) {
-	r.Trace.Add(trace.KindCommand, "%s %q", cmd.Name, truncate(cmd.Arg, 80))
 	switch cmd.Name {
 	case "google":
 		lines := r.google(ctx, cmd.Arg, cfg, report)
@@ -152,7 +149,6 @@ func (r *Runner) execute(ctx context.Context, cmd prompt.Command, goal string, c
 				return false, lines
 			}
 			for _, out := range outs {
-				r.Trace.Add(trace.KindNote, "CoT subquery %q", out.Query)
 				lines = append(lines, r.commitSearch(out, report))
 			}
 		}
@@ -162,23 +158,19 @@ func (r *Runner) execute(ctx context.Context, cmd prompt.Command, goal string, c
 		page, err := retrieval.Fetch(ctx, r.Web, cmd.Arg)
 		if err != nil {
 			report.Errors++
-			r.Trace.Add(trace.KindError, "fetch %s: %v", cmd.Arg, err)
 			return false, []string{prompt.HistoryError(cmd.Name, cmd.Arg, errString(err))}
 		}
 		saved := 0
 		if _, ok := r.Memory.Add(page.Body, page.URL, goal); ok {
 			saved = len(facts.Extract(page.Body))
 			report.FactsSaved += saved
-			r.Trace.Add(trace.KindMemoryAdd, "saved %d facts from %s", saved, page.URL)
 		}
 		report.PagesRead++
-		r.Trace.Add(trace.KindFetch, "%s (%d chars)", page.URL, len(page.Body))
 		return false, []string{prompt.HistoryBrowse(cmd.Arg, saved)}
 
 	case "memory_add":
 		if _, ok := r.Memory.Add(cmd.Arg, "agent://note", goal); ok {
 			report.FactsSaved += len(facts.Extract(cmd.Arg))
-			r.Trace.Add(trace.KindMemoryAdd, "noted %q", truncate(cmd.Arg, 60))
 		}
 		return false, []string{fmt.Sprintf("ran memory_add %q -> saved", truncate(cmd.Arg, 40))}
 
@@ -203,7 +195,6 @@ func (r *Runner) execute(ctx context.Context, cmd prompt.Command, goal string, c
 
 	default:
 		report.Errors++
-		r.Trace.Add(trace.KindError, "unknown command %q", cmd.Name)
 		return false, []string{prompt.HistoryError(cmd.Name, cmd.Arg, "unknown command")}
 	}
 }
@@ -212,13 +203,12 @@ func (r *Runner) google(ctx context.Context, query string, cfg Config, report *G
 	return []string{r.commitSearch(retrieval.Search(ctx, r.Web, query, cfg.SearchResults), report)}
 }
 
-// commitSearch turns one search outcome into its trace entries and
-// history line — the commit half of a search, kept separate from the
-// request so fanned-out searches can commit in canonical order.
+// commitSearch turns one search outcome into its history line — the
+// commit half of a search, kept separate from the request so fanned-out
+// searches can commit in canonical order.
 func (r *Runner) commitSearch(out retrieval.SearchOutcome, report *GoalReport) string {
 	if out.Err != nil {
 		report.Errors++
-		r.Trace.Add(trace.KindError, "search %q: %v", out.Query, out.Err)
 		return prompt.HistoryError("google", out.Query, errString(out.Err))
 	}
 	report.Searches++
@@ -226,7 +216,6 @@ func (r *Runner) commitSearch(out retrieval.SearchOutcome, report *GoalReport) s
 	for _, res := range out.Results {
 		urls = append(urls, res.URL)
 	}
-	r.Trace.Add(trace.KindSearch, "%q -> %d results", out.Query, len(urls))
 	return prompt.HistoryGoogle(out.Query, urls)
 }
 

@@ -10,7 +10,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/memory"
 	"repro/internal/prompt"
-	"repro/internal/trace"
+	"repro/internal/stream"
 	"repro/internal/websim"
 	"repro/internal/world"
 )
@@ -22,7 +22,6 @@ func newRunner(t *testing.T, cfg Config) (*Runner, *websim.Engine) {
 		Model:  llm.NewSim(),
 		Web:    eng,
 		Memory: memory.NewStore(memory.DefaultWeights),
-		Trace:  trace.New(),
 		Config: cfg,
 	}, eng
 }
@@ -31,6 +30,19 @@ const solarGoal = "Understand solar superstorms and Coronal Mass Ejection, and p
 
 func TestRunGoalCompletes(t *testing.T) {
 	r, eng := newRunner(t, Config{})
+	counts := map[string]int{}
+	googled, browsed := 0, 0
+	r.Observer = func(e stream.Event) {
+		counts[e.Type]++
+		if e.Type == stream.EventObservation {
+			if strings.HasPrefix(e.Text, "ran google ") && strings.Contains(e.Text, "-> results: https://") {
+				googled++
+			}
+			if strings.HasPrefix(e.Text, "ran browse_website ") && strings.Contains(e.Text, "-> saved ") {
+				browsed++
+			}
+		}
+	}
 	report, err := r.RunGoal(context.Background(), "Agent Bob, an Internet researcher", solarGoal)
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +65,19 @@ func TestRunGoalCompletes(t *testing.T) {
 	if eng.Stats().Queries == 0 {
 		t.Error("engine saw no queries")
 	}
-	// The trace must show the full cycle.
-	for _, kind := range []trace.Kind{trace.KindModelCall, trace.KindCommand, trace.KindSearch, trace.KindFetch, trace.KindMemoryAdd} {
-		if r.Trace.CountKind(kind) == 0 {
-			t.Errorf("trace missing %s events", kind)
+	// The events must show the full cycle: a goal, a thoughts and a
+	// command per step, and observations of a search with results and
+	// of a page read.
+	if counts[stream.EventGoal] != 1 {
+		t.Errorf("%d goal events, want 1", counts[stream.EventGoal])
+	}
+	for _, typ := range []string{stream.EventThoughts, stream.EventCommand} {
+		if counts[typ] != report.Steps {
+			t.Errorf("%d %s events, want one per step (%d)", counts[typ], typ, report.Steps)
 		}
+	}
+	if googled == 0 || browsed == 0 {
+		t.Errorf("observations hold %d google results and %d page reads, want both > 0", googled, browsed)
 	}
 }
 

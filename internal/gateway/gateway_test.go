@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -293,10 +295,48 @@ scan:
 	}
 }
 
+// replayIDs reads a session's retained events once (GET .../events with
+// ?once=1 and the given extra query or Last-Event-ID header) and returns
+// their IDs in order.
+func replayIDs(t *testing.T, url, lastEventID string) []int64 {
+	t.Helper()
+	req, err := http.NewRequest("GET", url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastEventID != "" {
+		req.Header.Set("Last-Event-ID", lastEventID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d", url, resp.StatusCode)
+	}
+	var ids []int64
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "id: "); ok {
+			id, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("bad id line %q", sc.Text())
+			}
+			ids = append(ids, id)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
 // TestGatewayMigration is the scale-out contract: remove the backend
 // that owns a trained session and the same question answers
 // byte-identically from its new owner, restored over the shared
-// snapshot directory.
+// snapshot directory, with its event log and event IDs intact.
 func TestGatewayMigration(t *testing.T) {
 	snapDir := t.TempDir()
 	addrA, mA := newBackend(t, snapDir)
@@ -312,6 +352,12 @@ func TestGatewayMigration(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("ask before migration: %d %s", code, first)
 	}
+	events := srv.URL + "/v1/sessions/" + id + "/events?once=1"
+	logBefore := replayIDs(t, events+"&after=0", "")
+	if len(logBefore) == 0 {
+		t.Fatal("no events before migration")
+	}
+	lastBefore := logBefore[len(logBefore)-1]
 
 	owner := gw.ring.Load().Owner(id)
 	other := addrA
@@ -333,6 +379,12 @@ func TestGatewayMigration(t *testing.T) {
 		t.Error("no migrations counted for a graceful removal")
 	}
 
+	// The new owner replays the same log, and a resume token taken
+	// before the move picks up right after it.
+	if logAfter := replayIDs(t, events+"&after=0", ""); !slices.Equal(logAfter, logBefore) {
+		t.Errorf("event log changed across migration:\nbefore %v\nafter  %v", logBefore, logAfter)
+	}
+
 	// The same question answers byte-identically from the new owner.
 	code, second := doJSON(t, "POST", srv.URL+"/v1/sessions/"+id+"/ask", map[string]any{"question": vulnQuestion})
 	if code != http.StatusOK {
@@ -346,6 +398,9 @@ func TestGatewayMigration(t *testing.T) {
 	}
 	if st, _ := otherM.Get(id); st != nil && !st.Status().Trained {
 		t.Error("restored session lost its trained state")
+	}
+	if resumed := replayIDs(t, events, strconv.FormatInt(lastBefore, 10)); len(resumed) == 0 || resumed[0] != lastBefore+1 {
+		t.Errorf("resume from %d after migration replayed %v, want IDs from %d", lastBefore, resumed, lastBefore+1)
 	}
 
 	// The removed backend is really gone from the admin view.

@@ -2,9 +2,9 @@
 // ring over backend websimd processes and a reverse proxy that routes
 // every /v1 request to the backend owning its session key. Sessions
 // (and the incident-<id> sessions the incident pipeline runs on) stick
-// to one backend, so per-session state — knowledge memory, traces, SSE
-// buffers — needs no cross-process coordination; ring changes migrate
-// sessions through the shared snapshot directory instead.
+// to one backend, so per-session state — knowledge memory and the event
+// log behind SSE — needs no cross-process coordination; ring changes
+// migrate sessions through the shared snapshot directory instead.
 package gateway
 
 import (

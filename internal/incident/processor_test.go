@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/session"
+	"repro/internal/stream"
 	"repro/internal/websim"
 )
 
@@ -132,7 +133,8 @@ func TestProcessorDrainsSimBatch(t *testing.T) {
 
 // TestProcessorDeterministicAcrossWorkers is the acceptance bar: the
 // same batch drained at -incident-workers 1, 2 and 8 yields
-// byte-identical full records (status, resolutions, hints, event logs).
+// byte-identical full records (status, resolutions, hints, event logs,
+// self-learning search and fetch lines included).
 func TestProcessorDeterministicAcrossWorkers(t *testing.T) {
 	batch := SimBatch(42)
 	var base []byte
@@ -141,12 +143,39 @@ func TestProcessorDeterministicAcrossWorkers(t *testing.T) {
 		got := records(t, st)
 		if base == nil {
 			base = got
+			if !leaderLogsRetrieval(t, st) {
+				t.Fatal("no resolved leader's log holds a non-empty search line and a non-empty fetch line")
+			}
 			continue
 		}
 		if string(got) != string(base) {
 			t.Fatalf("workers=%d produced different records than workers=1", workers)
 		}
 	}
+}
+
+// leaderLogsRetrieval reports whether some resolved leader's event log
+// holds a rendered search line and a rendered fetch line.
+func leaderLogsRetrieval(t *testing.T, st *Store) bool {
+	t.Helper()
+	for _, sum := range st.List("") {
+		inc, err := st.Get(sum.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc.Leader != inc.ID || inc.Status != StatusResolved {
+			continue
+		}
+		search, fetch := false, false
+		for _, e := range inc.Events {
+			search = search || (e.Kind == stream.EventSearch && e.Text != "")
+			fetch = fetch || (e.Kind == stream.EventFetch && e.Text != "")
+		}
+		if search && fetch {
+			return true
+		}
+	}
+	return false
 }
 
 // TestProcessorLeaderFailureEscalates pins the failure fan-out: when

@@ -383,6 +383,16 @@ func describe(e stream.Event) string {
 		return fmt.Sprintf("round %d: confidence %d, verdict %s", e.Round, e.Confidence, e.Verdict)
 	case stream.EventLearn:
 		return fmt.Sprintf("round %d: %d queries, %d new items", e.Round, len(e.Queries), e.NewItems)
+	case stream.EventSearch:
+		if e.Err != "" {
+			return fmt.Sprintf("search %s: %s", e.Query, e.Err)
+		}
+		return fmt.Sprintf("search %s -> %d results", e.Query, e.Results)
+	case stream.EventFetch:
+		if e.Err != "" {
+			return fmt.Sprintf("fetch %s (%s)", e.URL, e.Err)
+		}
+		return fmt.Sprintf("fetch %s (memorized)", e.URL)
 	case stream.EventAnswer:
 		return fmt.Sprintf("confidence %d: %s", e.Confidence, e.Text)
 	case stream.EventError:

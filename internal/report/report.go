@@ -1,9 +1,9 @@
 // Package report renders an agent investigation into the written report
 // a human researcher would produce: the question, the conclusion with
 // its confidence, the self-learning history, the supporting evidence
-// with sources, and the audit trail. This is the artifact the paper's
-// "interactive research agent" ultimately exists to deliver — an
-// investigation another researcher can check.
+// with sources, and the size of the audit trail. This is the artifact
+// the paper's "interactive research agent" ultimately exists to deliver
+// — an investigation another researcher can check.
 package report
 
 import (
@@ -27,7 +27,7 @@ type Report struct {
 	Rounds      []agent.Round
 	Saturated   bool
 	Evidence    []EvidenceItem
-	TraceEvents int
+	TraceEvents int64
 }
 
 // EvidenceItem is one supporting fact with its provenance.
@@ -36,11 +36,12 @@ type EvidenceItem struct {
 	Sources []string
 }
 
-// Build assembles a report from an investigation and the agent that ran
-// it. Evidence is the set of structured facts in the memory items most
-// relevant to the question, each attributed to every source that stated
-// it.
-func Build(a *agent.Agent, inv agent.Investigation) Report {
+// Build assembles a report from an investigation, the agent that ran it
+// and the number of events its session has recorded for audit (the
+// session's last event ID). Evidence is the set of structured facts in
+// the memory items most relevant to the question, each attributed to
+// every source that stated it.
+func Build(a *agent.Agent, inv agent.Investigation, events int64) Report {
 	r := Report{
 		Agent:       a.Role.Name,
 		Role:        a.Role.Description,
@@ -49,7 +50,7 @@ func Build(a *agent.Agent, inv agent.Investigation) Report {
 		Confidence:  inv.Final.Confidence,
 		Rounds:      inv.Rounds,
 		Saturated:   inv.Saturated,
-		TraceEvents: a.Trace.Len(),
+		TraceEvents: events,
 	}
 	r.Evidence = collectEvidence(a.Memory, inv.Question, 16)
 	return r

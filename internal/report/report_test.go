@@ -9,16 +9,21 @@ import (
 	"repro/internal/agent"
 	"repro/internal/corpus"
 	"repro/internal/llm"
+	"repro/internal/stream"
 	"repro/internal/websim"
 	"repro/internal/world"
 )
 
 const question = "Which is more vulnerable to solar activity? The fiber optic cable that connects Brazil to Europe or the one that connects the US to Europe?"
 
-func investigated(t *testing.T) (*agent.Agent, agent.Investigation) {
+// investigated trains Bob and investigates the question, returning the
+// agent, the investigation and how many events the agent emitted.
+func investigated(t *testing.T) (*agent.Agent, agent.Investigation, int64) {
 	t.Helper()
 	eng := websim.NewEngine(corpus.Generate(world.Default(), 42), websim.Options{})
 	bob := agent.New(agent.BobRole(), llm.NewSim(), eng, nil, agent.Config{})
+	var events int64
+	bob.Observer = func(stream.Event) { events++ }
 	ctx := context.Background()
 	if _, err := bob.Train(ctx); err != nil {
 		t.Fatal(err)
@@ -27,12 +32,12 @@ func investigated(t *testing.T) (*agent.Agent, agent.Investigation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bob, inv
+	return bob, inv, events
 }
 
 func TestBuildReport(t *testing.T) {
-	bob, inv := investigated(t)
-	r := Build(bob, inv)
+	bob, inv, events := investigated(t)
+	r := Build(bob, inv, events)
 	if r.Question != question || r.Confidence < 8 {
 		t.Errorf("report header wrong: %+v", r)
 	}
@@ -60,14 +65,14 @@ func TestBuildReport(t *testing.T) {
 	if !sawLatitude {
 		t.Error("the deciding latitude evidence is missing from the report")
 	}
-	if r.TraceEvents == 0 {
-		t.Error("trace events not counted")
+	if r.TraceEvents == 0 || r.TraceEvents != events {
+		t.Errorf("report counts %d trace events, want the %d emitted", r.TraceEvents, events)
 	}
 }
 
 func TestWriteMarkdown(t *testing.T) {
-	bob, inv := investigated(t)
-	r := Build(bob, inv)
+	bob, inv, events := investigated(t)
+	r := Build(bob, inv, events)
 	var buf bytes.Buffer
 	if err := r.WriteMarkdown(&buf); err != nil {
 		t.Fatal(err)
@@ -97,7 +102,7 @@ func TestReportWithEmptyMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Build(bob, inv)
+	r := Build(bob, inv, 0)
 	var buf bytes.Buffer
 	if err := r.WriteMarkdown(&buf); err != nil {
 		t.Fatal(err)

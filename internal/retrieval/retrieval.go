@@ -18,7 +18,7 @@
 //     (FetchAll), again with outcomes in plan order.
 //
 // Crucially, nothing here commits anything: callers replay the
-// outcomes in canonical order into their memory store and trace, so
+// outcomes in canonical order into their memory store and events, so
 // the committed output is byte-identical whether the round ran on one
 // worker or sixteen. Transient web failures are captured per item —
 // only context cancellation aborts a fan-out, and it surfaces exactly

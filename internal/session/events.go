@@ -3,6 +3,7 @@ package session
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -11,10 +12,11 @@ import (
 	"repro/internal/stream"
 )
 
-// eventBufferCap bounds how many recent events a session retains for
-// Last-Event-ID resume. A full buffer drops its oldest events — a
-// subscriber that resumes from before the retained window simply starts
-// at the oldest event still held, the standard SSE contract.
+// eventBufferCap bounds how many recent events a session retains. A
+// buffer that grows past it drops all but its newest half, so it holds
+// between eventBufferCap/2 and eventBufferCap events once it has filled
+// — a subscriber that resumes from before the retained window simply
+// starts at the oldest event still held, the standard SSE contract.
 const eventBufferCap = 512
 
 // sseHeartbeat is how often an idle event stream emits a comment line so
@@ -22,12 +24,14 @@ const eventBufferCap = 512
 // shorten it.
 var sseHeartbeat = 15 * time.Second
 
-// eventBuffer is a session's bounded, broadcast-on-append event log.
-// Producers publish through it (assigning monotonically increasing IDs
-// starting at 1), subscribers poll readAfter and park on the change
-// channel — no per-subscriber goroutines or queues exist, so an
-// arbitrary number of slow or abandoned subscribers can never block a
-// producer or leak.
+// eventBuffer is a session's one log: the bounded, broadcast-on-append
+// record of every step, served live as SSE, as the audit trail at
+// GET /trace, and persisted in the session's snapshot. Producers publish
+// through it (assigning monotonically increasing IDs that continue
+// across snapshot and restore), subscribers poll readAfter and park on
+// the change channel — no per-subscriber goroutines or queues exist, so
+// an arbitrary number of slow or abandoned subscribers can never block
+// a producer or leak.
 type eventBuffer struct {
 	mu     sync.Mutex
 	evs    []stream.Event // evs[i].ID are contiguous
@@ -36,8 +40,30 @@ type eventBuffer struct {
 	change chan struct{} // closed and replaced on every publish/close
 }
 
-func newEventBuffer() *eventBuffer {
-	return &eventBuffer{next: 1, change: make(chan struct{})}
+// newEventBuffer returns a buffer holding log, the retained events of a
+// restored session (nil for a new one); IDs continue after its last.
+// The caller has checked log with checkLog.
+func newEventBuffer(log []stream.Event) *eventBuffer {
+	b := &eventBuffer{evs: log, next: 1, change: make(chan struct{})}
+	if n := len(log); n > 0 {
+		b.next = log[n-1].ID + 1
+	}
+	return b
+}
+
+// checkLog reports why log cannot be a restored buffer's contents: more
+// than eventBufferCap events, or IDs that are not contiguous from 1 or
+// above (with room for the next one).
+func checkLog(log []stream.Event) error {
+	if len(log) > eventBufferCap {
+		return fmt.Errorf("%d events, more than %d", len(log), eventBufferCap)
+	}
+	for i, e := range log {
+		if e.ID < 1 || e.ID == math.MaxInt64 || (i > 0 && e.ID != log[i-1].ID+1) {
+			return fmt.Errorf("event %d has ID %d, want IDs contiguous from 1 or above", i, e.ID)
+		}
+	}
+	return nil
 }
 
 // publish appends e with the next ID and wakes every waiter.

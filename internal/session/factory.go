@@ -14,7 +14,7 @@
 //   - Manager: owns sessions by ID with a full lifecycle (Create → Train →
 //     Ask/Learn/Plan/Report → Snapshot → Close), bounded capacity with
 //     LRU eviction of idle sessions, and snapshot/restore of
-//     memory+trace+config to disk. Session IDs are hashed over
+//     memory+events+config to disk. Session IDs are hashed over
 //     independent lock shards, restores are singleflighted, and eviction
 //     snapshots drain through a background writer pool, so operations on
 //     unrelated sessions never wait on one another's locks or I/O.

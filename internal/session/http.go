@@ -18,7 +18,7 @@ import (
 	"repro/internal/llm/backend"
 	"repro/internal/memory"
 	"repro/internal/metrics"
-	"repro/internal/trace"
+	"repro/internal/stream"
 )
 
 // CreateRequest is the body of POST /v1/sessions. Unset pointer fields
@@ -128,9 +128,10 @@ func Paginate[T any](items []T, key func(T) string, after string, limit int) Lis
 	return page
 }
 
-// TraceResponse is the reply to GET /sessions/{id}/trace.
+// TraceResponse is the reply to GET /sessions/{id}/trace: the
+// session's retained event log, oldest first.
 type TraceResponse struct {
-	Events []trace.Event `json:"events"`
+	Events []stream.Event `json:"events"`
 }
 
 // ErrorInfo is the machine-readable error detail inside the envelope.
@@ -177,9 +178,9 @@ type Extension interface {
 //	POST   /v1/sessions/{id}/learn       full self-learning investigation
 //	POST   /v1/sessions/{id}/plan        propose a response plan
 //	POST   /v1/sessions/{id}/report      investigate + markdown report
-//	POST   /v1/sessions/{id}/snapshot    persist memory+trace+config to disk
+//	POST   /v1/sessions/{id}/snapshot    persist memory+events+config to disk
 //	POST   /v1/sessions/{id}/drain       snapshot + close, restorable (migration handoff)
-//	GET    /v1/sessions/{id}/trace       the audit trace
+//	GET    /v1/sessions/{id}/trace       the retained event log (audit trail)
 //	GET    /v1/sessions/{id}/events      live investigation steps (SSE)
 //	GET    /v1/stats                     namespaced runtime counters
 //	GET    /v1/metrics                   Prometheus text exposition
@@ -381,7 +382,8 @@ func Handler(m *Manager, exts ...Extension) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, TraceResponse{Events: s.TraceEvents()})
+		evs, _, _ := s.Events(0)
+		writeJSON(w, http.StatusOK, TraceResponse{Events: evs})
 	})
 
 	// The live step stream (SSE). Served outside the request timeout: an

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/evalcache"
+	"repro/internal/stream"
 	"repro/internal/websim"
 )
 
@@ -139,13 +140,19 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Errorf("report markdown missing header: %q", rep.Markdown)
 	}
 
-	// Audit trace is served.
+	// The audit trace is the session's event log: it ends with the
+	// report's terminal answer, at the ID the status counts.
 	code, body = doJSON(t, "GET", srv.URL+"/v1/sessions/ops/trace", nil)
 	if code != http.StatusOK {
 		t.Fatalf("trace: %d %s", code, body)
 	}
-	if tr := decode[TraceResponse](t, body); len(tr.Events) == 0 {
-		t.Error("trace empty after lifecycle")
+	tr := decode[TraceResponse](t, body)
+	if len(tr.Events) == 0 {
+		t.Fatal("trace empty after lifecycle")
+	}
+	_, body = doJSON(t, "GET", srv.URL+"/v1/sessions/ops", nil)
+	if last, st := tr.Events[len(tr.Events)-1], decode[Status](t, body); last.Type != stream.EventAnswer || last.ID != st.TraceEvents {
+		t.Errorf("trace ends with %+v, status counts %d events", last, st.TraceEvents)
 	}
 
 	// Snapshot, then restore into a fresh manager (a new daemon run).

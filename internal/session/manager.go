@@ -19,7 +19,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/parallel"
 	"repro/internal/retrieval"
-	"repro/internal/trace"
+	"repro/internal/stream"
 )
 
 // ManagerConfig configures a Manager.
@@ -376,7 +376,7 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 		m.abort(sh, id, e, err)
 		return nil, err
 	}
-	s, err := newSession(id, cfg, &m.use, m.now)
+	s, err := newSession(id, cfg, nil, &m.use, m.now)
 	if err != nil {
 		m.unreserve()
 		m.abort(sh, id, e, err)
@@ -704,7 +704,7 @@ func (m *Manager) Len() int {
 	return n
 }
 
-// Snapshot persists the session's memory, trace and config to
+// Snapshot persists the session's memory, event log and config to
 // <SnapshotDir>/<id>.json and returns the path. For a live session it
 // waits for the session to go idle (honoring ctx) so the snapshot is
 // consistent; for an evicted one it flushes the pending write (or finds
@@ -968,10 +968,13 @@ func (m *Manager) writeSnapshotData(id string, snap Snapshot) (string, error) {
 	return path, nil
 }
 
-// snapshotSchema is the one snapshot schema: the memory is segment
-// references plus delta items. An untrained session has no segments, so
-// its whole memory is the delta. readSnapshot refuses every other value.
-const snapshotSchema = 2
+// snapshotSchema is the schema every snapshot is written in: the memory
+// is segment references plus delta items (an untrained session has no
+// segments, so its whole memory is the delta), and the session's event
+// log rides along. readSnapshot also reads schema 2, the same shape
+// before the log was persisted: its memory restores and its log starts
+// empty. Every other value is refused.
+const snapshotSchema = 3
 
 // SegmentRef names one attached memory segment in a snapshot. The
 // items themselves live once per segment in
@@ -985,17 +988,17 @@ type SegmentRef struct {
 
 // Snapshot is the on-disk form of a session: everything needed to
 // rebuild an identical agent — its configuration, knowledge memory,
-// audit trace and lifecycle state.
+// event log and lifecycle state.
 type Snapshot struct {
-	ID       string        `json:"id"`
-	Schema   int           `json:"schema"`
-	Config   Config        `json:"config"`
-	Trained  bool          `json:"trained"`
-	Created  time.Time     `json:"created"`
-	Saved    time.Time     `json:"saved"`
-	Segments []SegmentRef  `json:"segments,omitempty"`
-	Delta    []memory.Item `json:"delta,omitempty"`
-	Trace    []trace.Event `json:"trace"`
+	ID       string         `json:"id"`
+	Schema   int            `json:"schema"`
+	Config   Config         `json:"config"`
+	Trained  bool           `json:"trained"`
+	Created  time.Time      `json:"created"`
+	Saved    time.Time      `json:"saved"`
+	Segments []SegmentRef   `json:"segments,omitempty"`
+	Delta    []memory.Item  `json:"delta,omitempty"`
+	Events   []stream.Event `json:"events,omitempty"`
 
 	// segs carries the live segment pointers alongside the refs while
 	// the snapshot stays in memory (the write-behind pending set), so a
@@ -1014,18 +1017,22 @@ func readSnapshot(path string) (Snapshot, error) {
 	if err := json.NewDecoder(f).Decode(&snap); err != nil {
 		return Snapshot{}, fmt.Errorf("session: parse snapshot %s: %w", path, err)
 	}
-	if snap.Schema != snapshotSchema {
-		return Snapshot{}, fmt.Errorf("session: snapshot %s has schema %d, want %d", path, snap.Schema, snapshotSchema)
+	if snap.Schema != snapshotSchema && snap.Schema != 2 {
+		return Snapshot{}, fmt.Errorf("session: snapshot %s has schema %d, want 2 or %d", path, snap.Schema, snapshotSchema)
+	}
+	if err := checkLog(snap.Events); err != nil {
+		return Snapshot{}, fmt.Errorf("session: snapshot %s: event log: %w", path, err)
 	}
 	return snap, nil
 }
 
 // restore rebuilds a live session from a snapshot: the agent stack is
-// reconstructed through the factory, then the memory and trace are
-// replaced with the persisted state. resolve maps a segment reference
-// to a live segment (intern table first, segment file second).
+// reconstructed through the factory around the persisted event log,
+// then the memory is replaced with the persisted state. resolve maps a
+// segment reference to a live segment (intern table first, segment file
+// second).
 func (snap Snapshot) restore(resolve func(SegmentRef) (*memory.Segment, error), use *atomic.Int64, now func() time.Time) (*Session, error) {
-	s, err := newSession(snap.ID, snap.Config, use, now)
+	s, err := newSession(snap.ID, snap.Config, snap.Events, use, now)
 	if err != nil {
 		return nil, err
 	}
@@ -1043,7 +1050,6 @@ func (snap Snapshot) restore(resolve func(SegmentRef) (*memory.Segment, error), 
 		}
 	}
 	s.agent.Memory.RestoreParts(segs, snap.Delta)
-	s.agent.Trace = trace.FromEvents(snap.Trace)
 	s.created = snap.Created
 	s.trained = snap.Trained
 	return s, nil

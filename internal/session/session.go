@@ -12,7 +12,6 @@ import (
 	"repro/internal/evalcache"
 	"repro/internal/report"
 	"repro/internal/stream"
-	"repro/internal/trace"
 	"repro/internal/websim"
 )
 
@@ -44,10 +43,11 @@ type Session struct {
 	agent   *agent.Agent
 	engine  *websim.Engine
 	created time.Time
-	// events is the session's bounded step-event buffer: the agent's
-	// observer publishes into it, SSE subscribers read from it. It is
-	// closed when the session is (evicted or deleted), which cleanly
-	// ends every subscriber.
+	// events is the session's one log, a bounded step-event buffer: the
+	// agent's observer publishes into it, SSE subscribers and GET /trace
+	// read from it, and snapshots persist it. It is closed when the
+	// session is (evicted or deleted), which cleanly ends every
+	// subscriber.
 	events *eventBuffer
 
 	// ops is the capacity-1 operation lock. Acquiring through a channel
@@ -66,7 +66,9 @@ type Session struct {
 	now func() time.Time
 }
 
-// Status is a point-in-time view of a session.
+// Status is a point-in-time view of a session. TraceEvents counts the
+// events the session has recorded: its last event ID, which continues
+// across snapshot and restore.
 type Status struct {
 	ID          string    `json:"id"`
 	Role        string    `json:"role"`
@@ -74,12 +76,14 @@ type Status struct {
 	Trained     bool      `json:"trained"`
 	Busy        bool      `json:"busy"`
 	MemoryItems int       `json:"memory_items"`
-	TraceEvents int       `json:"trace_events"`
+	TraceEvents int64     `json:"trace_events"`
 	Created     time.Time `json:"created"`
 	LastUsed    time.Time `json:"last_used"`
 }
 
-func newSession(id string, cfg Config, use *atomic.Int64, now func() time.Time) (*Session, error) {
+// newSession builds a session whose event log starts as log (nil for a
+// new session, the snapshot's retained events for a restored one).
+func newSession(id string, cfg Config, log []stream.Event, use *atomic.Int64, now func() time.Time) (*Session, error) {
 	cfg = cfg.withDefaults()
 	a, eng, err := NewAgent(cfg)
 	if err != nil {
@@ -92,7 +96,7 @@ func newSession(id string, cfg Config, use *atomic.Int64, now func() time.Time) 
 		agent:    a,
 		engine:   eng,
 		created:  t,
-		events:   newEventBuffer(),
+		events:   newEventBuffer(log),
 		ops:      make(chan struct{}, 1),
 		lastUsed: t,
 		useSeq:   use.Add(1), // creation counts as a use for LRU order
@@ -157,12 +161,6 @@ func (s *Session) MemoryLen() int { return s.agent.Memory.Len() }
 // Sources returns the distinct knowledge sources, sorted.
 func (s *Session) Sources() []string { return s.agent.Memory.Sources() }
 
-// TraceString renders the agent's trace transcript.
-func (s *Session) TraceString() string { return s.agent.Trace.String() }
-
-// TraceEvents returns a copy of the agent's trace.
-func (s *Session) TraceEvents() []trace.Event { return s.agent.Trace.Events() }
-
 // Status reports the session's current state without blocking on a
 // running operation.
 func (s *Session) Status() Status {
@@ -175,7 +173,7 @@ func (s *Session) Status() Status {
 		Trained:     s.trained,
 		Busy:        len(s.ops) == 1,
 		MemoryItems: s.agent.Memory.Len(),
-		TraceEvents: s.agent.Trace.Len(),
+		TraceEvents: s.events.last(),
 		Created:     s.created,
 		LastUsed:    s.lastUsed,
 	}
@@ -226,7 +224,7 @@ func (s *Session) Ask(ctx context.Context, question string) (agent.Answer, error
 		return agent.Answer{}, err
 	}
 	defer s.release()
-	s.emit(stream.Event{Type: stream.EventOp, Text: "ask"})
+	s.emit(stream.Event{Type: stream.EventOp, Text: "ask", Arg: question})
 	ans, err := s.agent.Ask(ctx, question)
 	s.emitOutcome(err, stream.Event{Type: stream.EventAnswer, Text: ans.Text, Confidence: ans.Confidence, Verdict: ans.Verdict})
 	return ans, err
@@ -239,7 +237,7 @@ func (s *Session) Investigate(ctx context.Context, question string) (agent.Inves
 		return agent.Investigation{}, err
 	}
 	defer s.release()
-	s.emit(stream.Event{Type: stream.EventOp, Text: "investigate"})
+	s.emit(stream.Event{Type: stream.EventOp, Text: "investigate", Arg: question})
 	inv, err := s.agent.Investigate(ctx, question)
 	s.emitOutcome(err, stream.Event{Type: stream.EventAnswer, Text: inv.Final.Text, Confidence: inv.Final.Confidence, Verdict: inv.Final.Verdict})
 	return inv, err
@@ -284,13 +282,13 @@ func (s *Session) Report(ctx context.Context, question string) (report.Report, a
 		return report.Report{}, agent.Investigation{}, err
 	}
 	defer s.release()
-	s.emit(stream.Event{Type: stream.EventOp, Text: "report"})
+	s.emit(stream.Event{Type: stream.EventOp, Text: "report", Arg: question})
 	inv, err := s.agent.Investigate(ctx, question)
 	s.emitOutcome(err, stream.Event{Type: stream.EventAnswer, Text: inv.Final.Text, Confidence: inv.Final.Confidence, Verdict: inv.Final.Verdict})
 	if err != nil {
 		return report.Report{}, inv, err
 	}
-	return report.Build(s.agent, inv), inv, nil
+	return report.Build(s.agent, inv, s.events.last()), inv, nil
 }
 
 // LoadMemory replaces the knowledge memory from a knowledge.json file.
@@ -318,6 +316,7 @@ func (s *Session) snapshotLocked() Snapshot {
 	trained := s.trained
 	s.st.Unlock()
 	segs, delta := s.agent.Memory.Parts()
+	log, _, _ := s.events.readAfter(0)
 	snap := Snapshot{
 		ID:      s.id,
 		Schema:  snapshotSchema,
@@ -326,7 +325,7 @@ func (s *Session) snapshotLocked() Snapshot {
 		Created: s.created,
 		Saved:   s.now(),
 		Delta:   delta,
-		Trace:   s.agent.Trace.Events(),
+		Events:  log,
 		segs:    segs,
 	}
 	for _, seg := range segs {

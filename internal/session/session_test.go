@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/stream"
 )
 
 // vulnQuestion is a question the trained simulated agent answers with
@@ -36,7 +37,7 @@ func TestFactoryDefaultsToBob(t *testing.T) {
 	if eng == nil || a.Web == nil {
 		t.Fatal("factory returned nil web")
 	}
-	if a.Memory == nil || a.Trace == nil {
+	if a.Memory == nil {
 		t.Fatal("factory returned incomplete agent")
 	}
 }
@@ -148,11 +149,14 @@ func TestSessionLifecycle(t *testing.T) {
 	if repReport.Question != vulnQuestion {
 		t.Errorf("report question = %q", repReport.Question)
 	}
+	if repReport.TraceEvents != s.LastEventID() {
+		t.Errorf("report counts %d trace events, want LastEventID %d", repReport.TraceEvents, s.LastEventID())
+	}
 	if len(s.Sources()) == 0 {
 		t.Error("no sources after training")
 	}
-	if s.TraceString() == "" || len(s.TraceEvents()) == 0 {
-		t.Error("trace empty after lifecycle")
+	if evs, _, _ := s.Events(0); len(evs) == 0 || s.Status().TraceEvents != s.LastEventID() {
+		t.Errorf("event log holds %d events, status counts %d, LastEventID %d", len(evs), s.Status().TraceEvents, s.LastEventID())
 	}
 }
 
@@ -176,10 +180,13 @@ func TestSessionSaveAndLoadMemory(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreRoundTrip: a snapshot restores the memory, the
+// trained state and the event log, in a fresh manager and after an
+// eviction alike, and event IDs continue where the log left off.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	m := newTestManager(t, ManagerConfig{SnapshotDir: dir})
+	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: dir})
 	s, err := m.Create("ops", Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +205,26 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("snapshot file missing: %v", err)
 	}
+	log, _, _ := s.Events(0)
+	if len(log) == 0 {
+		t.Fatal("no events before the snapshot")
+	}
+	// checkResumed: restored holds exactly the log from before the
+	// snapshot, and its next ask is recorded right after it.
+	checkResumed := func(how string, restored *Session) {
+		t.Helper()
+		if got, _, _ := restored.Events(0); !reflect.DeepEqual(got, log) {
+			t.Errorf("%s: restored log differs:\nbefore %+v\nafter  %+v", how, log, got)
+		}
+		last := log[len(log)-1].ID
+		if _, err := restored.Ask(ctx, "Why are undersea cables vulnerable?"); err != nil {
+			t.Fatal(err)
+		}
+		next, _, _ := restored.Events(last)
+		if len(next) == 0 || next[0].Type != stream.EventOp || next[0].ID != last+1 {
+			t.Errorf("%s: next ask recorded as %+v, want an op event with ID %d", how, next, last+1)
+		}
+	}
 
 	// A fresh manager — a new process, conceptually — restores the
 	// session transparently on Get.
@@ -209,12 +236,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.MemoryLen() != s.MemoryLen() {
 		t.Errorf("restored memory %d, want %d", restored.MemoryLen(), s.MemoryLen())
 	}
-	if len(restored.TraceEvents()) != len(s.TraceEvents()) {
-		t.Errorf("restored trace %d events, want %d", len(restored.TraceEvents()), len(s.TraceEvents()))
-	}
 	if st := restored.Status(); !st.Trained {
 		t.Error("restored session lost trained state")
 	}
+	checkResumed("fresh manager", restored)
 	after, err := restored.Ask(ctx, vulnQuestion)
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +247,20 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("restored answer differs:\nbefore %+v\nafter  %+v", before, after)
 	}
+
+	// Evict the session from the original manager (it holds one) and
+	// restore it there.
+	if _, err := m.Create("other", Config{Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().Evictions == 0 {
+		t.Fatal("creating a second session evicted nothing")
+	}
+	evicted, err := m.Get("ops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResumed("after eviction", evicted)
 }
 
 func TestSnapshotRequiresDir(t *testing.T) {

@@ -3,12 +3,19 @@ package session
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -413,7 +420,7 @@ func TestStreamNoGoroutineLeaks(t *testing.T) {
 // trims from the front while keeping IDs contiguous and resume tokens
 // meaningful.
 func TestEventBufferOverflow(t *testing.T) {
-	b := newEventBuffer()
+	b := newEventBuffer(nil)
 	total := eventBufferCap + 300
 	for i := 0; i < total; i++ {
 		b.publish(stream.Event{Type: "x"})
@@ -422,8 +429,8 @@ func TestEventBufferOverflow(t *testing.T) {
 	if closed {
 		t.Fatal("buffer reported closed")
 	}
-	if len(evs) == 0 || len(evs) > eventBufferCap {
-		t.Fatalf("retained %d events, want 1..%d", len(evs), eventBufferCap)
+	if len(evs) < eventBufferCap/2 || len(evs) > eventBufferCap {
+		t.Fatalf("retained %d events, want %d..%d", len(evs), eventBufferCap/2, eventBufferCap)
 	}
 	if got := evs[len(evs)-1].ID; got != int64(total) {
 		t.Fatalf("newest ID %d, want %d", got, total)
@@ -465,4 +472,160 @@ func TestEventBufferOverflow(t *testing.T) {
 	if evs, closed, _ := b.readAfter(int64(total)); !closed || len(evs) != 1 {
 		t.Fatalf("after close: closed=%v len=%d", closed, len(evs))
 	}
+}
+
+// TestEventBufferRestoredLog: a buffer built from a restored log holds
+// it unchanged and numbers the next event right after its last; a new
+// buffer starts at ID 1.
+func TestEventBufferRestoredLog(t *testing.T) {
+	fresh := newEventBuffer(nil)
+	if fresh.last() != 0 {
+		t.Fatalf("new buffer LastEventID = %d, want 0", fresh.last())
+	}
+	fresh.publish(stream.Event{Type: "x"})
+	if evs, _, _ := fresh.readAfter(0); len(evs) != 1 || evs[0].ID != 1 {
+		t.Fatalf("first event of a new buffer: %+v, want ID 1", evs)
+	}
+
+	log := []stream.Event{{ID: 300, Type: stream.EventOp, Arg: "q"}, {ID: 301, Type: stream.EventAnswer, Terminal: true}}
+	b := newEventBuffer(log)
+	if b.last() != 301 {
+		t.Fatalf("restored LastEventID = %d, want 301", b.last())
+	}
+	if got, _, _ := b.readAfter(0); !reflect.DeepEqual(got, log) {
+		t.Fatalf("restored buffer holds %+v, want %+v", got, log)
+	}
+	b.publish(stream.Event{Type: stream.EventOp})
+	if got, _, _ := b.readAfter(301); len(got) != 1 || got[0].ID != 302 {
+		t.Fatalf("next event after restore: %+v, want ID 302", got)
+	}
+}
+
+// TestEventBufferConcurrent: publishers racing with a reader never
+// produce a gap or a duplicate ID, and every publish is recorded.
+func TestEventBufferConcurrent(t *testing.T) {
+	b := newEventBuffer(nil)
+	const writers, each = 4, 100 // fewer than eventBufferCap: nothing trims
+	stop := make(chan struct{})
+	readErr := make(chan error, 1)
+	go func() {
+		var after int64
+		for {
+			evs, _, change := b.readAfter(after)
+			for _, e := range evs {
+				if e.ID != after+1 {
+					readErr <- fmt.Errorf("reader saw ID %d after %d", e.ID, after)
+					return
+				}
+				after = e.ID
+			}
+			select {
+			case <-stop:
+				readErr <- nil
+				return
+			case <-change:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				b.publish(stream.Event{Type: "x"})
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-readErr; err != nil {
+		t.Fatal(err)
+	}
+	evs, _, _ := b.readAfter(0)
+	if len(evs) != writers*each || b.last() != writers*each {
+		t.Fatalf("recorded %d events, LastEventID %d, want %d", len(evs), b.last(), writers*each)
+	}
+	for i, e := range evs {
+		if e.ID != int64(i+1) {
+			t.Fatalf("event %d has ID %d", i, e.ID)
+		}
+	}
+}
+
+// FuzzEventsResume sends arbitrary Last-Event-ID headers and ?after=
+// values to GET /events?once=1 on a session restored with a log that
+// starts at ID 41, so every resume cursor is untrusted input meeting a
+// window that is not anchored at 1. The replay must be exactly the
+// retained events after the cursor: the header when it parses as a
+// non-negative integer, else ?after= when it does and no header was
+// sent, else the tail; a cursor past the tail clamps to it.
+func FuzzEventsResume(f *testing.F) {
+	dir := f.TempDir()
+	log := make([]stream.Event, 20)
+	for i := range log {
+		log[i] = stream.Event{ID: int64(41 + i), Type: stream.EventObservation, Text: fmt.Sprintf("step %d", i)}
+	}
+	log[9] = stream.Event{ID: 50, Type: stream.EventAnswer, Text: "mid-log answer", Terminal: true}
+	data, err := json.Marshal(Snapshot{ID: "resume", Schema: snapshotSchema, Config: Config{Seed: 42}, Events: log})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "resume.json"), data, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	m := newTestManager(f, ManagerConfig{SnapshotDir: dir})
+	if _, err := m.Get("resume"); err != nil {
+		f.Fatal(err)
+	}
+	h := Handler(m)
+
+	for _, seed := range [][2]string{
+		{"", ""}, {"", "0"}, {"", "45"}, {"", "60"}, {"", "1000"}, {"", "-3"}, {"", "x"},
+		{"40", ""}, {"50", "10"}, {"junk", "45"}, {"+44", ""}, {"9223372036854775807", ""},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, header, after string) {
+		req := httptest.NewRequest("GET", "/v1/sessions/resume/events?"+url.Values{"once": {"1"}, "after": {after}}.Encode(), nil)
+		if header != "" {
+			req.Header.Set("Last-Event-ID", header)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+
+		last := log[len(log)-1].ID
+		cursor, raw := last, after
+		if header != "" {
+			raw = header
+		}
+		if n, err := strconv.ParseInt(raw, 10, 64); err == nil && n >= 0 {
+			cursor = min(n, last)
+		}
+		var want []stream.Event
+		for _, e := range log {
+			if e.ID > cursor {
+				want = append(want, e)
+			}
+		}
+
+		ch := make(chan sseFrame, 2*len(log))
+		parseSSE(rec.Body, ch)
+		var got []sseFrame
+		for fr := range ch {
+			got = append(got, fr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cursor %d: %d frames, want %d", cursor, len(got), len(want))
+		}
+		for i, e := range want {
+			data, _ := json.Marshal(e)
+			if got[i].id != e.ID || got[i].name != e.Type || got[i].data != string(data) {
+				t.Fatalf("cursor %d: frame %d = %+v, want event %+v", cursor, i, got[i], e)
+			}
+		}
+	})
 }

@@ -1,26 +1,31 @@
-// Package stream defines the incremental investigation events the agent
-// runtime publishes while it works. The paper's framework is interactive
-// — an operator watches a trained agent think, search and self-learn —
-// yet an HTTP client that only sees the final answer experiences the
-// whole multi-step Auto-GPT loop as dead air. Streaming the intermediate
-// THOUGHTS / COMMAND / observation steps and the per-round partial
-// answers drops perceived latency from full-investigation time to
-// time-to-first-step.
+// Package stream defines the typed events that record what an agent
+// does, step by step. The paper's operator watches "how Bob draws
+// conclusions ... to verify the sources of the knowledge" (§4.2), so
+// every step — an Auto-GPT THOUGHTS / COMMAND / observation cycle, a
+// knowledge-testing round, a self-learning search or page fetch — is
+// recorded exactly once, as one Event. Streamed live, the same events
+// turn a multi-step investigation from dead air into steps an operator
+// sees as they happen, so perceived latency drops from full
+// investigation time to time-to-first-step.
 //
 // The package is deliberately tiny: an Event record and a nil-safe
 // Observer callback. Producers (internal/autogpt, internal/agent) emit
-// through an Observer they do not own; the session runtime
-// (internal/session) owns the per-session bounded buffer behind it and
-// serves it as SSE. Observation is strictly passive — no producer ever
-// changes behaviour based on whether an observer is attached, which is
-// what keeps the simulated path byte-identical with streaming on or off.
+// through an Observer they do not own. The session runtime
+// (internal/session) owns the per-session bounded log behind it: the
+// same events are the live SSE stream, the audit trail served at
+// GET /trace and the log a snapshot persists, and the incident pipeline
+// tees them into incident logs. Observation is strictly passive — no
+// producer ever changes behaviour based on whether an observer is
+// attached, which is what keeps the simulated path byte-identical with
+// recording on or off.
 package stream
 
 // Event types. A Terminal event ends the operation the stream is
 // following; everything else is an intermediate step.
 const (
 	// EventOp marks the start of a session operation (train, ask,
-	// investigate, report); Text carries the operation name.
+	// investigate, report); Text carries the operation name and Arg the
+	// question asked.
 	EventOp = "op"
 	// EventGoal marks the start of one Auto-GPT training goal.
 	EventGoal = "goal"
@@ -38,6 +43,12 @@ const (
 	// EventLearn reports one self-learning pass: the proposed queries
 	// and how many new knowledge items they yielded.
 	EventLearn = "learn"
+	// EventSearch reports one self-learning search: Query, and Results
+	// (the result count) or Err.
+	EventSearch = "search"
+	// EventFetch reports one self-learning page fetch: URL and the Query
+	// that found it. Without Err the page was memorized.
+	EventFetch = "fetch"
 	// EventAnswer is the final answer of an ask/investigate/report
 	// operation. Terminal.
 	EventAnswer = "answer"
@@ -72,6 +83,9 @@ type Event struct {
 	Verdict    string   `json:"verdict,omitempty"`
 	Queries    []string `json:"queries,omitempty"`
 	NewItems   int      `json:"new_items,omitempty"`
+	Query      string   `json:"query,omitempty"`
+	Results    int      `json:"results,omitempty"`
+	URL        string   `json:"url,omitempty"`
 	Err        string   `json:"error,omitempty"`
 	// Terminal marks the event that ends the operation this stream is
 	// following; the SSE layer closes the response after sending it.

@@ -40,9 +40,10 @@ go test -run='^$' -bench=. -benchtime=1x .
 
 # Hot-path determinism under the race detector: cached vs uncached ask
 # byte-identity, the structured fast path against the encoded contract,
-# the prompt round-trip fuzz corpus, the incident journal loader's and
-# the session snapshot reader's (seeds only; no -fuzz time).
-run_listed -race -run 'TestAskPath|TestSimFastPath|TestEnsembleFastPath|FuzzEncodeRoundTrip|FuzzParse|FuzzStoreLoad|FuzzReadSnapshot' . ./internal/llm ./internal/prompt ./internal/incident ./internal/session
+# the prompt round-trip fuzz corpus, the incident journal loader's, the
+# session snapshot reader's and the SSE resume cursor's (seeds only; no
+# -fuzz time).
+run_listed -race -run 'TestAskPath|TestSimFastPath|TestEnsembleFastPath|FuzzEncodeRoundTrip|FuzzParse|FuzzStoreLoad|FuzzReadSnapshot|FuzzEventsResume' . ./internal/llm ./internal/prompt ./internal/incident ./internal/session
 
 # Concurrency-heavy paths under the race detector: the remote client
 # against a server shaped like the real chat-completions API, the
@@ -53,8 +54,9 @@ run_listed -race -count=1 -run 'TestStream|TestEventBuffer' ./internal/session
 
 # The segmented memory tier: overlay-vs-combined BM25 byte-identity,
 # store concurrency (Clone-vs-Add, KnowledgeText-vs-ReplaceItems, the
-# never-stale version-tag contract) and the one snapshot schema (trained
-# and untrained sessions, sanitized deltas, other schemas refused), all
+# never-stale version-tag contract) and the one snapshot schema (schema
+# 3 written for trained and untrained sessions, schema 2 still read,
+# sanitized deltas, other schemas and malformed event logs refused), all
 # under the race detector; then the footprint acceptance gate (>= 5x
 # residency reduction, smaller snapshots, warm-ask guard).
 run_listed -race -count=1 -run 'TestOverlay|TestFreeze' ./internal/index
@@ -62,7 +64,7 @@ run_listed -race -count=1 -run 'TestSealDelta|TestCloneShares|TestCloneVsAddRace
 run_listed -race -count=1 -run 'TestSnapshotV2|TestSnapshotRestoreColdProcess|TestSnapshotSchemaRefused|TestStatsReportSegments' ./internal/session
 run_listed -count=1 -run 'TestFootprintReport' .
 
-# The retrieval pipeline: byte-identity of memory/trace/investigation at
+# The retrieval pipeline: byte-identity of memory/events/investigation at
 # every fan-out width, the cancel-mid-fetch drain (exactly-once context
 # error, no goroutine leaks, zeroed in-flight gauges), and concurrent
 # fork Search/Fetch under the injected fake clock.

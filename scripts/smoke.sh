@@ -12,8 +12,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-LLM_ADDR=127.0.0.1:18091
-API_ADDR=127.0.0.1:18080
+# Five loopback ports, reserved at run time: the kernel hands each
+# socket a free port on 127.0.0.1:0, all five are held at once so they
+# differ, and they are released just before the servers bind them.
+read -r LLM_PORT API_PORT GW_PORT B1_PORT B2_PORT < <(python3 -c '
+import socket
+socks = [socket.socket() for _ in range(5)]
+for s in socks:
+    s.bind(("127.0.0.1", 0))
+print(*(s.getsockname()[1] for s in socks))
+')
+LLM_ADDR=127.0.0.1:$LLM_PORT
+API_ADDR=127.0.0.1:$API_PORT
 WORK=$(mktemp -d)
 PIDS=()
 cleanup() {
@@ -114,6 +124,18 @@ if [[ -z "$round_line" || -z "$answer_line" || "$round_line" -ge "$answer_line" 
   exit 1
 fi
 
+# The audit trace is the same event log the stream carried: typed
+# events, ending at the stream's last ID.
+SSE_LAST=$(grep '^id: ' "$WORK/events" | tail -1 | cut -d' ' -f2)
+req GET /v1/sessions/stream/trace 200
+python3 - "$WORK/resp" "$SSE_LAST" <<'EOF'
+import json, sys
+evs = json.load(open(sys.argv[1]))["events"]
+assert evs and all(isinstance(e.get("id"), int) and e.get("type") for e in evs), f"trace is not typed events: {evs}"
+assert evs[-1]["id"] == int(sys.argv[2]), f"trace ends at id {evs[-1]['id']}, the SSE stream at {sys.argv[2]}"
+assert any(e["type"] == "search" for e in evs), f"trace records no self-learning search: {evs}"
+EOF
+
 # Incident pipeline, end to end: file an incident over the API and let
 # the queue processor claim, investigate and resolve it unattended. The
 # title names a documented incident, so the leader's investigation can
@@ -196,9 +218,9 @@ req GET /v1/sessions/smoke 404
 # snapshot -> lazy restore on the survivor) and keep answering the same
 # question with the same answer, and /v1/metrics must serve Prometheus
 # text on the gateway (merged, node-labelled) and on each backend.
-GW_ADDR=127.0.0.1:18060
-B1_ADDR=127.0.0.1:18061
-B2_ADDR=127.0.0.1:18062
+GW_ADDR=127.0.0.1:$GW_PORT
+B1_ADDR=127.0.0.1:$B1_PORT
+B2_ADDR=127.0.0.1:$B2_PORT
 mkdir -p "$WORK/snap"
 for b in "$B1_ADDR" "$B2_ADDR"; do
   REPRO_LLM_ENDPOINT="http://$LLM_ADDR" \
@@ -307,4 +329,4 @@ expect_exit2 "duplicate backends"   -gateway -backends "127.0.0.1:1,127.0.0.1:1"
 expect_exit2 "gateway + incident-sim" -gateway -backends 127.0.0.1:1 -incident-sim
 expect_exit2 "shared incident journal" -gateway -spawn 2 -incident-workers 1
 
-echo "smoke: ok (retries absorbed, tail hedged, SSE streamed rounds, incident drained to resolved, session migrated across backends, metrics scraped)"
+echo "smoke: ok (retries absorbed, tail hedged, SSE streamed rounds, trace matched the stream, incident drained to resolved, session migrated across backends, metrics scraped)"
