@@ -30,19 +30,6 @@ const solarGoal = "Understand solar superstorms and Coronal Mass Ejection, and p
 
 func TestRunGoalCompletes(t *testing.T) {
 	r, eng := newRunner(t, Config{})
-	counts := map[string]int{}
-	googled, browsed := 0, 0
-	r.Observer = func(e stream.Event) {
-		counts[e.Type]++
-		if e.Type == stream.EventObservation {
-			if strings.HasPrefix(e.Text, "ran google ") && strings.Contains(e.Text, "-> results: https://") {
-				googled++
-			}
-			if strings.HasPrefix(e.Text, "ran browse_website ") && strings.Contains(e.Text, "-> saved ") {
-				browsed++
-			}
-		}
-	}
 	report, err := r.RunGoal(context.Background(), "Agent Bob, an Internet researcher", solarGoal)
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +52,33 @@ func TestRunGoalCompletes(t *testing.T) {
 	if eng.Stats().Queries == 0 {
 		t.Error("engine saw no queries")
 	}
-	// The events must show the full cycle: a goal, a thoughts and a
-	// command per step, and observations of a search with results and
-	// of a page read.
+}
+
+// TestRunGoalEventCounts: the events of a completed goal show the full
+// cycle — one goal, a thoughts and a command per step, and observations
+// of a search with results and of a page read.
+func TestRunGoalEventCounts(t *testing.T) {
+	r, _ := newRunner(t, Config{})
+	counts := map[string]int{}
+	googled, browsed := 0, 0
+	r.Observer = func(e stream.Event) {
+		counts[e.Type]++
+		if e.Type == stream.EventObservation {
+			if strings.HasPrefix(e.Text, "ran google ") && strings.Contains(e.Text, "-> results: https://") {
+				googled++
+			}
+			if strings.HasPrefix(e.Text, "ran browse_website ") && strings.Contains(e.Text, "-> saved ") {
+				browsed++
+			}
+		}
+	}
+	report, err := r.RunGoal(context.Background(), "Agent Bob, an Internet researcher", solarGoal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Completed {
+		t.Fatalf("goal did not complete: %+v", report)
+	}
 	if counts[stream.EventGoal] != 1 {
 		t.Errorf("%d goal events, want 1", counts[stream.EventGoal])
 	}

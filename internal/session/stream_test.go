@@ -474,59 +474,142 @@ func TestEventBufferOverflow(t *testing.T) {
 	}
 }
 
-// TestEventBufferRestoredLog: a buffer built from a restored log holds
-// it unchanged and numbers the next event right after its last; a new
-// buffer starts at ID 1.
-func TestEventBufferRestoredLog(t *testing.T) {
-	fresh := newEventBuffer(nil)
-	if fresh.last() != 0 {
-		t.Fatalf("new buffer LastEventID = %d, want 0", fresh.last())
+// TestEventBufferAddAndEvents: published events get IDs 1, 2, ... in
+// publish order and read back with their fields intact; readAfter
+// returns only the events after its cursor.
+func TestEventBufferAddAndEvents(t *testing.T) {
+	b := newEventBuffer(nil)
+	b.publish(stream.Event{Type: stream.EventSearch, Query: "solar", Results: 3})
+	b.publish(stream.Event{Type: stream.EventFetch, URL: "https://x.example/a", Query: "solar"})
+	evs, _, _ := b.readAfter(0)
+	if len(evs) != 2 {
+		t.Fatalf("got %d events, want 2", len(evs))
 	}
-	fresh.publish(stream.Event{Type: "x"})
-	if evs, _, _ := fresh.readAfter(0); len(evs) != 1 || evs[0].ID != 1 {
-		t.Fatalf("first event of a new buffer: %+v, want ID 1", evs)
+	if evs[0].ID != 1 || evs[1].ID != 2 {
+		t.Errorf("IDs %d, %d, want 1, 2", evs[0].ID, evs[1].ID)
 	}
+	if evs[0].Type != stream.EventSearch || evs[0].Query != "solar" || evs[0].Results != 3 {
+		t.Errorf("event 0 = %+v", evs[0])
+	}
+	if evs[1].Type != stream.EventFetch || evs[1].URL != "https://x.example/a" {
+		t.Errorf("event 1 = %+v", evs[1])
+	}
+	if b.last() != 2 {
+		t.Errorf("LastEventID = %d, want 2", b.last())
+	}
+	if got, _, _ := b.readAfter(1); len(got) != 1 || got[0].ID != 2 {
+		t.Errorf("readAfter(1) = %+v, want the event with ID 2", got)
+	}
+}
 
+// TestEventBufferFromEvents: a buffer built from a restored log holds it
+// unchanged and numbers the next event right after its last. The buffer
+// owns what it holds: publishing past capacity never reaches the source
+// log, and mutating a slice readAfter returned never reaches the buffer.
+func TestEventBufferFromEvents(t *testing.T) {
 	log := []stream.Event{{ID: 300, Type: stream.EventOp, Arg: "q"}, {ID: 301, Type: stream.EventAnswer, Terminal: true}}
+	orig := append([]stream.Event(nil), log...)
 	b := newEventBuffer(log)
 	if b.last() != 301 {
 		t.Fatalf("restored LastEventID = %d, want 301", b.last())
 	}
-	if got, _, _ := b.readAfter(0); !reflect.DeepEqual(got, log) {
+	got, _, _ := b.readAfter(0)
+	if !reflect.DeepEqual(got, log) {
 		t.Fatalf("restored buffer holds %+v, want %+v", got, log)
+	}
+	got[0].Arg = "changed"
+	if again, _, _ := b.readAfter(0); again[0].Arg != "q" {
+		t.Errorf("mutating a read reached the buffer: %+v", again[0])
 	}
 	b.publish(stream.Event{Type: stream.EventOp})
 	if got, _, _ := b.readAfter(301); len(got) != 1 || got[0].ID != 302 {
 		t.Fatalf("next event after restore: %+v, want ID 302", got)
 	}
+	for range eventBufferCap {
+		b.publish(stream.Event{Type: "x"})
+	}
+	if !reflect.DeepEqual(log, orig) {
+		t.Errorf("publishing changed the source log: %+v, want %+v", log, orig)
+	}
 }
 
-// TestEventBufferConcurrent: publishers racing with a reader never
-// produce a gap or a duplicate ID, and every publish is recorded.
-func TestEventBufferConcurrent(t *testing.T) {
+// TestEventBufferFromEventsEmpty: a buffer with no restored log — a new
+// session, or a schema-2 snapshot — reports LastEventID 0 and numbers
+// its first event 1.
+func TestEventBufferFromEventsEmpty(t *testing.T) {
+	for name, log := range map[string][]stream.Event{"nil": nil, "empty": {}} {
+		b := newEventBuffer(log)
+		if b.last() != 0 {
+			t.Fatalf("%s: LastEventID = %d, want 0", name, b.last())
+		}
+		b.publish(stream.Event{Type: "x"})
+		if evs, _, _ := b.readAfter(0); len(evs) != 1 || evs[0].ID != 1 {
+			t.Fatalf("%s: first event %+v, want one event with ID 1", name, evs)
+		}
+	}
+}
+
+// TestEventBufferConcurrentAdd: concurrent publishers never produce a
+// gap or a duplicate ID, and every publish is recorded.
+func TestEventBufferConcurrentAdd(t *testing.T) {
 	b := newEventBuffer(nil)
-	const writers, each = 4, 100 // fewer than eventBufferCap: nothing trims
+	const writers, each = 10, 50 // fewer than eventBufferCap: nothing trims
+	var wg sync.WaitGroup
+	for range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				b.publish(stream.Event{Type: "x"})
+			}
+		}()
+	}
+	wg.Wait()
+	evs, _, _ := b.readAfter(0)
+	if len(evs) != writers*each || b.last() != writers*each {
+		t.Fatalf("recorded %d events, LastEventID %d, want %d", len(evs), b.last(), writers*each)
+	}
+	for i, e := range evs {
+		if e.ID != int64(i+1) {
+			t.Fatalf("event %d has ID %d", i, e.ID)
+		}
+	}
+}
+
+// TestEventBufferConcurrentReadersAndWriters: readers following the
+// buffer while publishers race each see every event exactly once, in ID
+// order; run under -race this is the proof the log is safe to share
+// between a session's operations and its subscribers.
+func TestEventBufferConcurrentReadersAndWriters(t *testing.T) {
+	b := newEventBuffer(nil)
+	const writers, each, readers = 4, 100, 3 // fewer than eventBufferCap: nothing trims
 	stop := make(chan struct{})
-	readErr := make(chan error, 1)
-	go func() {
-		var after int64
-		for {
-			evs, _, change := b.readAfter(after)
-			for _, e := range evs {
-				if e.ID != after+1 {
-					readErr <- fmt.Errorf("reader saw ID %d after %d", e.ID, after)
+	readErr := make(chan error, readers)
+	for range readers {
+		go func() {
+			var after int64
+			for {
+				evs, _, change := b.readAfter(after)
+				for _, e := range evs {
+					if e.ID != after+1 {
+						readErr <- fmt.Errorf("reader saw ID %d after %d", e.ID, after)
+						return
+					}
+					after = e.ID
+				}
+				if last := b.last(); last < after {
+					readErr <- fmt.Errorf("LastEventID %d behind a read event %d", last, after)
 					return
 				}
-				after = e.ID
+				select {
+				case <-stop:
+					readErr <- nil
+					return
+				case <-change:
+				}
 			}
-			select {
-			case <-stop:
-				readErr <- nil
-				return
-			case <-change:
-			}
-		}
-	}()
+		}()
+	}
 	var wg sync.WaitGroup
 	for range writers {
 		wg.Add(1)
@@ -539,8 +622,10 @@ func TestEventBufferConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	if err := <-readErr; err != nil {
-		t.Fatal(err)
+	for range readers {
+		if err := <-readErr; err != nil {
+			t.Fatal(err)
+		}
 	}
 	evs, _, _ := b.readAfter(0)
 	if len(evs) != writers*each || b.last() != writers*each {
