@@ -10,15 +10,8 @@
 package repro
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/corpus"
@@ -350,121 +343,10 @@ func BenchmarkE1ConclusionConsistencyParallel(b *testing.B) {
 	})
 }
 
-// --- session-runtime benchmarks (the serving hot path) ---
-
-// benchSessionConfig is the stack every session benchmark builds:
+// benchSessionConfig is the stack the session-factory benchmarks build:
 // seed-42 world, defaults elsewhere, so construction hits the shared
 // engine cache exactly as websimd does.
 var benchSessionConfig = session.Config{Seed: 42}
-
-// BenchmarkManagerChurn cycles sessions through create → evict →
-// restore under full contention: GOMAXPROCS goroutines each walk a
-// private ring of IDs against a manager whose capacity is far below the
-// live ID population, so nearly every Get misses and restores from a
-// snapshot while a peer's eviction is snapshotting to disk. This is the
-// worst case for a single-lock manager — snapshot I/O, JSON decode and
-// agent reconstruction all serialize behind one mutex.
-func BenchmarkManagerChurn(b *testing.B) {
-	m := session.NewManager(session.ManagerConfig{
-		Capacity:    8,
-		SnapshotDir: b.TempDir(),
-	})
-	defer m.Shutdown()
-	var gid atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		g := gid.Add(1)
-		i := 0
-		for pb.Next() {
-			id := fmt.Sprintf("churn-%d-%d", g, i%16)
-			i++
-			if _, err := m.Get(id); err != nil {
-				if _, err := m.Create(id, benchSessionConfig); err != nil && !errors.Is(err, session.ErrExists) {
-					b.Error(err)
-					return
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkManagerGetHot measures the pure lookup path: every session
-// is live and stays live, so Get never touches disk — only the manager's
-// lock(s) and map(s). Contention here is exactly what sharding removes.
-func BenchmarkManagerGetHot(b *testing.B) {
-	m := session.NewManager(session.ManagerConfig{Capacity: 64})
-	const n = 32
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("hot-%04d", i)
-		if _, err := m.Create(ids[i], benchSessionConfig); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var gid atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(gid.Add(1)) * 7
-		for pb.Next() {
-			if _, err := m.Get(ids[i%n]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkHTTPAskParallel drives the full serving stack over real
-// HTTP: a small-capacity manager with snapshots, a population of
-// sessions four times capacity, concurrent /ask requests rotating
-// across them — so most requests restore an evicted session before
-// answering, the multi-tenant steady state of a busy websimd.
-func BenchmarkHTTPAskParallel(b *testing.B) {
-	m := session.NewManager(session.ManagerConfig{
-		Capacity:    8,
-		SnapshotDir: b.TempDir(),
-		Defaults:    benchSessionConfig,
-	})
-	defer m.Shutdown()
-	srv := httptest.NewServer(session.Handler(m))
-	defer srv.Close()
-	const n = 32
-	for i := 0; i < n; i++ {
-		if _, err := m.Create(fmt.Sprintf("ask-%04d", i), benchSessionConfig); err != nil {
-			b.Fatal(err)
-		}
-	}
-	body := []byte(`{"question":"Which submarine cable is most vulnerable to solar storms?"}`)
-	var gid atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(gid.Add(1)) * 5
-		for pb.Next() {
-			url := fmt.Sprintf("%s/v1/sessions/ask-%04d/ask", srv.URL, i%n)
-			i++
-			// A session can be evicted out from under a request (409) or
-			// every live session can be mid-operation (503); real clients
-			// retry, so the unit of work here is one *successful* ask.
-			for {
-				resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
-				if resp.StatusCode != http.StatusConflict && resp.StatusCode != http.StatusServiceUnavailable {
-					b.Errorf("ask: %d", resp.StatusCode)
-					return
-				}
-			}
-		}
-	})
-}
 
 // --- microbenchmarks of the substrates ---
 

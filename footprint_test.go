@@ -1,10 +1,8 @@
-// Memory-footprint suite for the segmented copy-on-write memory tier:
-// resident bytes per idle trained session at N=1k, clone/fork cost,
-// snapshot sizes, and a warm-ask regression guard. scripts/bench.sh runs
-// TestFootprintReport with REPRO_FOOTPRINT_OUT set to record the numbers
-// as BENCH_footprint.json; under plain `go test` the same run asserts
-// the acceptance floor (>= 5x reduction, smaller snapshots) with no file
-// output.
+// Memory-footprint report for the segmented copy-on-write memory tier:
+// resident bytes per idle trained session at N=1k against the flat
+// layout, the session snapshot's size against the inline form, and a
+// warm-ask regression guard. Residency under load is measured by
+// bench/ (peak_rss_mb and memory_segments.resident_bytes).
 package repro
 
 import (
@@ -19,31 +17,17 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/memory"
+	"repro/internal/quiz"
 	"repro/internal/session"
 	"repro/internal/stream"
 )
 
-// footprintReport is the JSON shape of BENCH_footprint.json.
-type footprintReport struct {
-	Suite                 string  `json:"suite"`
-	NSessions             int     `json:"n_sessions"`
-	MemoryItems           int     `json:"memory_items"`
-	FlatBytesPerSession   int64   `json:"flat_bytes_per_session"`
-	SegBytesPerSession    int64   `json:"segmented_bytes_per_session"`
-	ReductionRatio        float64 `json:"reduction_ratio"`
-	FlatCloneNsPerOp      int64   `json:"flat_clone_ns_per_op"`
-	SegCloneNsPerOp       int64   `json:"segmented_clone_ns_per_op"`
-	SnapshotV1Bytes       int     `json:"snapshot_v1_bytes"`
-	SnapshotV2Bytes       int     `json:"snapshot_v2_bytes"`
-	SegmentFileBytes      int     `json:"segment_file_bytes"`
-	WarmAskNsPerOp        int64   `json:"warm_ask_ns_per_op"`
-	SegmentResidentBytes  int64   `json:"segment_resident_bytes"`
-	SegmentsInternedTotal int     `json:"segments_interned"`
-}
+// askQuestion is the paper's headline comparative question; answering it
+// exercises retrieval, evidence extraction and comparative reasoning.
+var askQuestion = quiz.Conclusions()[0].Question
 
 // inlineSnapshot is the retired schema-1 session file, with every memory
-// item inline. snapshot_v1_bytes keeps measuring it so the footprint
-// record stays comparable across builds.
+// item inline: the size the segmented snapshot must stay below.
 type inlineSnapshot struct {
 	ID      string         `json:"id"`
 	Config  session.Config `json:"config"`
@@ -63,24 +47,18 @@ func heapInUse() uint64 {
 	return ms.HeapAlloc
 }
 
-// measureClones reports (bytes per clone, ns per clone) for n clones of
-// the store held live simultaneously — the shape of n idle resident
+// cloneBytes reports the live heap bytes per clone for n clones of the
+// store held live simultaneously — the shape of n idle resident
 // sessions sharing one trained state.
-func measureClones(src *memory.Store, n int) (int64, int64) {
+func cloneBytes(src *memory.Store, n int) int64 {
 	clones := make([]*memory.Store, n)
 	before := heapInUse()
-	start := time.Now()
 	for i := range clones {
 		clones[i] = src.Clone()
 	}
-	elapsed := time.Since(start)
 	after := heapInUse()
 	runtime.KeepAlive(clones)
-	bytesPer := int64(after-before) / int64(n)
-	if bytesPer < 0 {
-		bytesPer = 0
-	}
-	return bytesPer, elapsed.Nanoseconds() / int64(n)
+	return max(int64(after-before)/int64(n), 0)
 }
 
 // TestFootprintReport is the acceptance gate for the segmented memory
@@ -125,11 +103,8 @@ func TestFootprintReport(t *testing.T) {
 		t.Fatalf("segmented ask diverges from flat:\nseg  %+v\nflat %+v", segAns, flatAns)
 	}
 
-	flatBytes, flatNs := measureClones(flat, nSessions)
-	segBytes, segNs := measureClones(bob.Memory, nSessions)
-	if segBytes <= 0 {
-		segBytes = 1 // empty-delta clones can vanish below GC noise
-	}
+	flatBytes := cloneBytes(flat, nSessions)
+	segBytes := max(cloneBytes(bob.Memory, nSessions), 1) // empty-delta clones can vanish below GC noise
 	ratio := float64(flatBytes) / float64(segBytes)
 	if ratio < 5 {
 		t.Errorf("resident bytes per idle session: flat=%d segmented=%d ratio=%.1fx, want >= 5x",
@@ -138,8 +113,8 @@ func TestFootprintReport(t *testing.T) {
 
 	// Snapshot sizes through the real session runtime: the v2 session
 	// file versus the same state serialized in the inline shape. The
-	// segment file is written once and amortized across every session
-	// that shares the segment, so it is reported separately.
+	// segment file is written once and shared by every session that
+	// references the segment, so it is not counted.
 	dir := t.TempDir()
 	mgr := session.NewManager(session.ManagerConfig{SnapshotDir: dir})
 	defer mgr.Shutdown()
@@ -182,17 +157,11 @@ func TestFootprintReport(t *testing.T) {
 	if len(v2Data) >= len(v1Data) {
 		t.Errorf("v2 session snapshot (%d bytes) not smaller than the inline form (%d bytes)", len(v2Data), len(v1Data))
 	}
-	segFileBytes := 0
-	for _, ref := range snap.Segments {
-		fi, err := os.Stat(filepath.Join(dir, "segments", ref.Fingerprint+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		segFileBytes += int(fi.Size())
-	}
 
 	// Warm-ask guard: the steady-state ask over an unchanged memory must
-	// stay a cache hit, not regress to a full retrieval per call.
+	// stay a cache hit, not regress to a full retrieval per call. A warm
+	// ask takes tens of microseconds, so the 5 ms bound holds on a loaded
+	// machine and trips only when the caches stop hitting.
 	if _, err := bob.Ask(ctx, askQuestion); err != nil {
 		t.Fatal(err)
 	}
@@ -206,34 +175,5 @@ func TestFootprintReport(t *testing.T) {
 	warmNs := time.Since(start).Nanoseconds() / warmIters
 	if warmNs > 5_000_000 {
 		t.Errorf("warm ask = %dns/op, want well under 5ms (cache regression)", warmNs)
-	}
-
-	segStats := mgr.Stats().MemorySegments
-	rep := footprintReport{
-		Suite:                 "footprint",
-		NSessions:             nSessions,
-		MemoryItems:           len(items),
-		FlatBytesPerSession:   flatBytes,
-		SegBytesPerSession:    segBytes,
-		ReductionRatio:        ratio,
-		FlatCloneNsPerOp:      flatNs,
-		SegCloneNsPerOp:       segNs,
-		SnapshotV1Bytes:       len(v1Data),
-		SnapshotV2Bytes:       len(v2Data),
-		SegmentFileBytes:      segFileBytes,
-		WarmAskNsPerOp:        warmNs,
-		SegmentResidentBytes:  segStats.ResidentBytes,
-		SegmentsInternedTotal: segStats.Segments,
-	}
-	t.Logf("footprint: flat=%dB/session segmented=%dB/session (%.1fx), clone %dns -> %dns, snapshot v1=%dB v2=%dB (+%dB segment file, amortized), warm ask %dns",
-		flatBytes, segBytes, ratio, flatNs, segNs, len(v1Data), len(v2Data), segFileBytes, warmNs)
-	if out := os.Getenv("REPRO_FOOTPRINT_OUT"); out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

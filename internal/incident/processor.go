@@ -28,10 +28,6 @@ type ProcessorConfig struct {
 	// seed, web options). The processor overrides the role (an incident
 	// analyst for the group's title) and the round bound per group.
 	Session session.Config
-	// AllLeaders disables leader-follower dedup: every incident becomes
-	// its own group and runs a full investigation. This is the bench
-	// baseline the dedup speedup is measured against.
-	AllLeaders bool
 	// Poll is the idle re-scan interval for Run (default 2s); filings
 	// kick the loop immediately regardless.
 	Poll time.Duration
@@ -164,21 +160,15 @@ func (p *Processor) Drain(ctx context.Context) error {
 func (p *Processor) claimBatch() [][]Incident {
 	open := p.store.OpenQueue(0)
 	var groups [][]Incident
-	if p.cfg.AllLeaders {
-		for _, inc := range open {
-			groups = append(groups, []Incident{inc})
+	index := map[string]int{}
+	for _, inc := range open {
+		i, ok := index[inc.Type]
+		if !ok {
+			i = len(groups)
+			index[inc.Type] = i
+			groups = append(groups, nil)
 		}
-	} else {
-		index := map[string]int{}
-		for _, inc := range open {
-			i, ok := index[inc.Type]
-			if !ok {
-				i = len(groups)
-				index[inc.Type] = i
-				groups = append(groups, nil)
-			}
-			groups[i] = append(groups[i], inc)
-		}
+		groups[i] = append(groups[i], inc)
 	}
 	claimed := groups[:0]
 	for _, g := range groups {

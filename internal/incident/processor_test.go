@@ -288,27 +288,6 @@ func TestProcessorCancelReclaimable(t *testing.T) {
 	}
 }
 
-// TestProcessorAllLeaders pins the bench baseline mode: with dedup off
-// every incident runs its own full investigation.
-func TestProcessorAllLeaders(t *testing.T) {
-	filings := []Filing{{Type: "same"}, {Type: "same"}, {Type: "same"}}
-	st, proc := drainBatch(t, filings, ProcessorConfig{
-		Workers:    2,
-		AllLeaders: true,
-		Session:    session.Config{Seed: 42},
-	})
-	ps := proc.Stats()
-	if ps.Leaders != 3 || ps.Followers != 0 || ps.SavedRounds != 0 {
-		t.Errorf("all-leader stats = %+v", ps)
-	}
-	for _, sum := range st.List("") {
-		inc, _ := st.Get(sum.ID)
-		if inc.Leader != inc.ID {
-			t.Errorf("%s led by %s in all-leader mode", inc.ID, inc.Leader)
-		}
-	}
-}
-
 // TestProcessorConcurrentDrains runs two processors over one store
 // under -race: the claim CAS must hand every incident to exactly one of
 // them, and both must finish with the queue fully drained.

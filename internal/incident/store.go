@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/persist"
 	"repro/internal/stream"
 )
 
@@ -489,33 +490,24 @@ func (st *Store) compactLocked() {
 }
 
 // rewriteLocked writes every incident to a temp file, renames it over
-// the journal and opens the append handle on the result. It creates the
-// journal's directory first: websimd points the journal at the session
-// snapshot directory, which nothing else creates until a session is
-// snapshotted.
+// the journal (persist.WriteFile) and opens the append handle on the
+// result. It creates the journal's directory first: websimd points the
+// journal at the session snapshot directory, which nothing else creates
+// until a session is snapshotted.
 func (st *Store) rewriteLocked() error {
 	if err := os.MkdirAll(filepath.Dir(st.cfg.Path), 0o755); err != nil {
 		return err
 	}
-	tmp := st.cfg.Path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := persist.WriteFile(st.cfg.Path, func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		if err := st.encodeLocked(w, st.order); err != nil {
+			return err
+		}
+		return w.Flush()
+	}); err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	err = st.encodeLocked(w, st.order)
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, st.cfg.Path)
-	}
-	if err != nil {
-		return err
-	}
+	var err error
 	st.journal, err = os.OpenFile(st.cfg.Path, os.O_WRONLY|os.O_APPEND, 0)
 	return err
 }

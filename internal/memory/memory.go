@@ -22,9 +22,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/facts"
 	"repro/internal/index"
+	"repro/internal/persist"
 )
 
 // Item is one memorized piece of knowledge.
@@ -481,34 +482,19 @@ type file struct {
 
 // Save writes the store to path as knowledge.json (segments and delta
 // flattened — the file format predates the tiering and stays portable).
-// The write is atomic: data lands in a temp file in the same directory
-// and is renamed over the target, so a crash mid-write can never leave a
-// truncated knowledge.json as the only copy.
+// The write goes through persist.WriteFile (temp file + rename), so a
+// crash mid-write can never leave a truncated knowledge.json as the only
+// copy.
 func (s *Store) Save(path string) error {
 	data, err := json.MarshalIndent(file{Items: s.All()}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("memory: marshal: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := persist.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("memory: write %s: %w", path, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("memory: write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("memory: write %s: %w", path, err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("memory: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("memory: finalize %s: %w", path, err)
 	}
 	return nil
 }

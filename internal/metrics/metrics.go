@@ -27,9 +27,10 @@ import (
 )
 
 // DefBuckets is the default latency histogram layout, in seconds:
-// 25µs to 10s, roughly 2-2.5x per step. The low end resolves the warm
-// ask fast path (~50µs) and the gateway hop (<150µs target); the high
-// end covers cold investigations and remote-model tails.
+// 25µs to 10s, roughly 2-2.5x per step. The low end resolves the cached
+// ask path and the gateway hop, whose self times the traced ask-hot run
+// of bench/ puts at tens of microseconds; the high end covers cold
+// investigations and remote-model tails.
 var DefBuckets = []float64{
 	25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,

@@ -561,6 +561,8 @@ func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, backend.ErrUnknown):
 		writeErrorCode(w, http.StatusBadRequest, "unknown_model", err.Error())
+	case errors.Is(err, ErrInvalidID):
+		writeErrorCode(w, http.StatusBadRequest, "bad_request", err.Error())
 	case errors.Is(err, ErrNotFound):
 		writeErrorCode(w, http.StatusNotFound, "not_found", err.Error())
 	case errors.Is(err, ErrExists), errors.Is(err, ErrClosed), errors.Is(err, ErrNoSnapshots):

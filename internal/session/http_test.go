@@ -269,9 +269,12 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad json = %d, want 400", resp.StatusCode)
 	}
-	// Invalid session IDs are rejected and nothing is created.
-	if code, _ := doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{ID: "bad/id"}); code < 400 {
-		t.Errorf("invalid id accepted: %d", code)
+	// Invalid session IDs are the client's fault: 400 bad_request.
+	for _, id := range []string{"bad/id", "bad id!", strings.Repeat("x", 65)} {
+		code, body := doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{ID: id})
+		if code != http.StatusBadRequest || decode[ErrorResponse](t, body).Error.Code != "bad_request" {
+			t.Errorf("create %q = %d %s, want 400 bad_request", id, code, body)
+		}
 	}
 	// Snapshot without a snapshot dir is a server-side failure.
 	if code, _ := doJSON(t, "POST", srv.URL+"/v1/sessions/dup/snapshot", nil); code != http.StatusInternalServerError {

@@ -1,10 +1,10 @@
 package session
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,6 +18,7 @@ import (
 	"repro/internal/llm/backend"
 	"repro/internal/memory"
 	"repro/internal/parallel"
+	"repro/internal/persist"
 	"repro/internal/retrieval"
 	"repro/internal/stream"
 )
@@ -361,7 +362,7 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 		}
 	} else {
 		if !validID(id) {
-			return nil, fmt.Errorf("session: invalid id %q (want 1-64 of [A-Za-z0-9_-])", id)
+			return nil, fmt.Errorf("%w %q (want 1-64 of [A-Za-z0-9_-])", ErrInvalidID, id)
 		}
 		sh = m.shard(id)
 		sh.mu.Lock()
@@ -865,32 +866,12 @@ func (m *Manager) persistSegments(segs []*memory.Segment) error {
 			m.segDone.Store(fp, struct{}{})
 			continue
 		}
-		data, err := json.Marshal(segFile{ID: seg.ID(), Fingerprint: fp, Items: seg.Items()})
-		if err != nil {
-			return fmt.Errorf("session: marshal segment %s: %w", fp, err)
-		}
-		// Unique temp name per writer: two sessions racing to persist the
-		// same segment both write identical content, and rename is atomic.
-		tmp, err := os.CreateTemp(dir, fp+".tmp*")
-		if err != nil {
+		// Two sessions racing to persist the same segment write identical
+		// content under distinct temp names, and the rename is atomic.
+		if err := persist.WriteFile(path, func(w io.Writer) error {
+			return json.NewEncoder(w).Encode(segFile{ID: seg.ID(), Fingerprint: fp, Items: seg.Items()})
+		}); err != nil {
 			return fmt.Errorf("session: write segment %s: %w", fp, err)
-		}
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("session: write segment %s: %w", fp, err)
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("session: write segment %s: %w", fp, err)
-		}
-		if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("session: write segment %s: %w", fp, err)
-		}
-		if err := os.Rename(tmp.Name(), path); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("session: finalize segment %s: %w", fp, err)
 		}
 		m.segDone.Store(fp, struct{}{})
 	}
@@ -919,12 +900,6 @@ func (m *Manager) resolveSegment(ref SegmentRef) (*memory.Segment, error) {
 	return evalcache.InternSegment(seg), nil
 }
 
-// snapBufPool recycles snapshot encode buffers; oversized ones are
-// dropped rather than pinned.
-var snapBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBuf = 1 << 20
-
 // writeSnapshot persists s atomically. The caller holds the session's
 // operation lock.
 func (m *Manager) writeSnapshot(s *Session) (string, error) {
@@ -934,9 +909,9 @@ func (m *Manager) writeSnapshot(s *Session) (string, error) {
 	return m.writeSnapshotData(s.id, s.snapshotLocked())
 }
 
-// writeSnapshotData encodes snap compactly through a pooled buffer and
-// writes it atomically (tmp file + rename). Callers hold the stripe
-// flush lock, which serializes same-ID writes.
+// writeSnapshotData encodes snap compactly straight into a temp file
+// and renames it over the session's file (persist.WriteFile). Callers
+// hold the stripe flush lock, which serializes same-ID writes.
 func (m *Manager) writeSnapshotData(id string, snap Snapshot) (string, error) {
 	m.mkdirOnce.Do(func() { m.mkdirErr = os.MkdirAll(m.cfg.SnapshotDir, 0o755) })
 	if m.mkdirErr != nil {
@@ -947,23 +922,11 @@ func (m *Manager) writeSnapshotData(id string, snap Snapshot) (string, error) {
 	if err := m.persistSegments(snap.segs); err != nil {
 		return "", err
 	}
-	buf := snapBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBuf {
-			snapBufPool.Put(buf)
-		}
-	}()
-	if err := json.NewEncoder(buf).Encode(snap); err != nil {
-		return "", fmt.Errorf("session: marshal snapshot: %w", err)
-	}
 	path := m.snapshotPath(id)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := persist.WriteFile(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(snap)
+	}); err != nil {
 		return "", fmt.Errorf("session: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return "", fmt.Errorf("session: finalize snapshot: %w", err)
 	}
 	return path, nil
 }

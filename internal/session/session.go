@@ -21,6 +21,9 @@ var (
 	ErrNotFound = errors.New("session: not found")
 	// ErrExists is returned when creating a session whose ID is taken.
 	ErrExists = errors.New("session: already exists")
+	// ErrInvalidID is returned when creating a session under an ID that
+	// is not 1-64 of [A-Za-z0-9_-].
+	ErrInvalidID = errors.New("session: invalid id")
 	// ErrClosed is returned for operations on a closed session.
 	ErrClosed = errors.New("session: closed")
 	// ErrBusy is returned when the manager is at capacity and every

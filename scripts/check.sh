@@ -2,7 +2,8 @@
 # Full local verification: everything CI would run, in dependency order.
 # Tier-1 is `go build ./... && go test ./...` (see ROADMAP.md); this adds
 # formatting enforcement, vet, the race detector, and a 1-iteration pass
-# over every benchmark so the bench harness itself cannot rot unnoticed.
+# over the root package's benchmarks (the paper's E1-E13 and A1-A3 plus
+# the substrate microbenchmarks) so they cannot rot unnoticed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,7 +77,8 @@ run_listed -race -count=1 -run 'TestClock|TestForkConcurrentFetchWithClock' ./in
 # leader-failure fan-out, cancel-and-reclaim, journal replay and
 # compaction across restarts, worker-count byte-identity and the HTTP
 # extension (envelopes, 409 invalid_state), all under the race
-# detector; then the throughput report (leader-follower vs all-leader).
+# detector; then the dedup report (followers and saved rounds on the
+# simulator's batch).
 go test -race -count=1 ./internal/incident
 run_listed -count=1 -run '^TestIncidentPipelineReport$' .
 
@@ -95,4 +97,5 @@ run_listed -race -count=1 -run 'TestHTTPMetricsEndpoint|TestHTTPDrainHandoff|Tes
 # backend and serves merged /v1/metrics.
 scripts/smoke.sh
 
-# Real measurements (and BENCH_sessions.json) are opt-in: scripts/bench.sh
+# Performance is measured by the benchmark, not here: bash bench/run.sh
+# (see bench/README.md).
