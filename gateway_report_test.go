@@ -127,9 +127,9 @@ func balancedSessionIDs(addrs []string, perBackend int) []string {
 }
 
 // TestGatewayReport runs websimd -gateway -spawn N for N in 1, 2 and 4
-// (sim model). The gateway must list N backends, and after it creates
-// four ring-balanced sessions per backend, its merged /v1/stats must
-// show four live sessions on every node.
+// (sim model), one at a time. The gateway must list N backends, and
+// after it creates four ring-balanced sessions per backend, its merged
+// /v1/stats must show four live sessions on every node.
 func TestGatewayReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping gateway report in -short mode")
@@ -138,46 +138,48 @@ func TestGatewayReport(t *testing.T) {
 	client := &http.Client{Timeout: 60 * time.Second}
 	const perBackend = 4
 	for _, n := range []int{1, 2, 4} {
-		addr := reserveAddr(t)
-		startProc(t, websimd, "-gateway", "-spawn", fmt.Sprint(n), "-addr", addr,
-			"-snapshots", t.TempDir())
-		waitUp(t, addr)
-		base := "http://" + addr
+		t.Run(fmt.Sprintf("spawn%d", n), func(t *testing.T) {
+			addr := reserveAddr(t)
+			startProc(t, websimd, "-gateway", "-spawn", fmt.Sprint(n), "-addr", addr,
+				"-snapshots", t.TempDir())
+			waitUp(t, addr)
+			base := "http://" + addr
 
-		var ring struct {
-			Backends []string `json:"backends"`
-		}
-		getJSON(t, client, base+"/v1/gateway", &ring)
-		if len(ring.Backends) != n {
-			t.Fatalf("-spawn %d: gateway lists %d backends: %v", n, len(ring.Backends), ring.Backends)
-		}
+			var ring struct {
+				Backends []string `json:"backends"`
+			}
+			getJSON(t, client, base+"/v1/gateway", &ring)
+			if len(ring.Backends) != n {
+				t.Fatalf("gateway lists %d backends, want %d: %v", len(ring.Backends), n, ring.Backends)
+			}
 
-		for _, id := range balancedSessionIDs(ring.Backends, perBackend) {
-			body, _ := json.Marshal(session.CreateRequest{ID: id})
-			resp, err := client.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
+			for _, id := range balancedSessionIDs(ring.Backends, perBackend) {
+				body, _ := json.Marshal(session.CreateRequest{ID: id})
+				resp, err := client.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated {
+					t.Fatalf("create %s: %d %s", id, resp.StatusCode, out)
+				}
 			}
-			out, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusCreated {
-				t.Fatalf("-spawn %d: create %s: %d %s", n, id, resp.StatusCode, out)
-			}
-		}
 
-		var stats struct {
-			Nodes map[string]struct {
-				Sessions session.SessionsStats `json:"sessions"`
-			} `json:"nodes"`
-		}
-		getJSON(t, client, base+"/v1/stats", &stats)
-		if len(stats.Nodes) != n {
-			t.Errorf("-spawn %d: merged stats cover %d nodes, want %d", n, len(stats.Nodes), n)
-		}
-		for _, b := range ring.Backends {
-			if got := stats.Nodes[b].Sessions.Live; got != perBackend {
-				t.Errorf("-spawn %d: node %s has %d live sessions, want %d", n, b, got, perBackend)
+			var stats struct {
+				Nodes map[string]struct {
+					Sessions session.SessionsStats `json:"sessions"`
+				} `json:"nodes"`
 			}
-		}
+			getJSON(t, client, base+"/v1/stats", &stats)
+			if len(stats.Nodes) != n {
+				t.Errorf("merged stats cover %d nodes, want %d", len(stats.Nodes), n)
+			}
+			for _, b := range ring.Backends {
+				if got := stats.Nodes[b].Sessions.Live; got != perBackend {
+					t.Errorf("node %s has %d live sessions, want %d", b, got, perBackend)
+				}
+			}
+		})
 	}
 }
