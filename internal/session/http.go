@@ -426,12 +426,12 @@ func Handler(m *Manager, exts ...Extension) http.Handler {
 // session-lifecycle counters.
 type SessionsStats struct {
 	Live           int   `json:"live"`             // committed live sessions
-	Restores       int64 `json:"restores"`         // sessions rebuilt from a snapshot (memory or disk)
-	DiskRestores   int64 `json:"disk_restores"`    // restores that had to read + decode a snapshot file
+	Restores       int64 `json:"restores"`         // sessions rebuilt from a snapshot file
+	DiskRestores   int64 `json:"disk_restores"`    // snapshot files read by a restore
 	Evictions      int64 `json:"evictions"`        // sessions evicted to make room
 	AsyncWrites    int64 `json:"async_writes"`     // eviction snapshots queued to the writer pool
-	SyncWriteFalls int64 `json:"sync_write_falls"` // eviction snapshots written inline (pool saturated)
-	WriteErrors    int64 `json:"write_errors"`     // background snapshot writes that failed
+	SyncWriteFalls int64 `json:"sync_write_falls"` // eviction snapshots written inline (pool full or closed)
+	WriteErrors    int64 `json:"write_errors"`     // eviction snapshot writes that failed, one per attempt
 	InFlight       int   `json:"inflight_ops"`     // agent operations currently holding an admission slot
 	MaxInFlight    int   `json:"max_inflight"`     // admission gate size (0 = unlimited)
 }

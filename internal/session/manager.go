@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -91,33 +92,6 @@ type shard struct {
 	entries map[string]*entry
 }
 
-// pendingSnap is an eviction snapshot that has not reached disk yet. It
-// lives in Manager.pending so the session stays restorable (from memory,
-// with no disk read) during the write-behind window, and so a newer
-// eviction of the same ID supersedes an older queued write. queued is
-// set while a write task for this snapshot is queued or in flight so
-// each sweep tick does not hand the pool a duplicate; it is cleared
-// when the task completes, which re-arms the retry after a write error.
-type pendingSnap struct {
-	snap   Snapshot
-	queued atomic.Bool
-}
-
-// flushSettle is the write-behind window: an eviction snapshot sits in
-// memory this long before the sweeper hands it to the writer pool. A
-// session restored within the window cancels its write entirely — the
-// dominant case under hot churn, where a working set cycles through a
-// too-small capacity. Explicit Snapshot and Close writes stay
-// synchronous; at most this window of eviction state is lost if the
-// process dies.
-const flushSettle = 5 * time.Millisecond
-
-// maxDirty bounds the write-behind set. An eviction that would grow it
-// past this count flushes its own snapshot immediately instead of
-// waiting for the sweeper, so RAM held by pending snapshots stays
-// bounded even under one-way eviction storms that never restore.
-const maxDirty = 256
-
 // ManagerStats counts runtime events for capacity planning — the
 // in-process aggregate StatsBlocks reshapes into the namespaced GET
 // /v1/stats body. Backend aggregates the process-wide LLM backend
@@ -125,12 +99,12 @@ const maxDirty = 256
 // fallback completions) next to the session-lifecycle counts.
 type ManagerStats struct {
 	Live           int           `json:"live"`             // committed live sessions
-	Restores       int64         `json:"restores"`         // sessions rebuilt from a snapshot (memory or disk)
-	DiskRestores   int64         `json:"disk_restores"`    // restores that had to read + decode a snapshot file
+	Restores       int64         `json:"restores"`         // sessions rebuilt from a snapshot file
+	DiskRestores   int64         `json:"disk_restores"`    // snapshot files read by a restore
 	Evictions      int64         `json:"evictions"`        // sessions evicted to make room
 	AsyncWrites    int64         `json:"async_writes"`     // eviction snapshots queued to the writer pool
-	SyncWriteFalls int64         `json:"sync_write_falls"` // eviction snapshots written inline (pool saturated)
-	WriteErrors    int64         `json:"write_errors"`     // background snapshot writes that failed
+	SyncWriteFalls int64         `json:"sync_write_falls"` // eviction snapshots written inline (pool full or closed)
+	WriteErrors    int64         `json:"write_errors"`     // eviction snapshot writes that failed, one per attempt
 	InFlight       int           `json:"inflight_ops"`     // agent operations currently holding an admission slot
 	MaxInFlight    int           `json:"max_inflight"`     // admission gate size (0 = unlimited)
 	Backend        backend.Stats `json:"backend"`          // process-wide LLM backend counters
@@ -171,19 +145,15 @@ type Manager struct {
 	use  atomic.Int64 // global LRU clock
 	now  func() time.Time
 
-	// writer drains eviction snapshots in the background; flushMu
+	// writer writes eviction snapshots in the background; flushMu
 	// serializes disk writes per ID stripe so a superseded write can
-	// never land after a fresher one. pending is the write-behind set,
-	// swept into the pool every flushSettle; dirty counts its entries
-	// and sweepStop ends the sweeper goroutine.
+	// never land after a fresher one. pending holds each eviction
+	// snapshot from the moment its session leaves the table until its
+	// write lands; it orders writes and restores, and never serves a
+	// session.
 	writer    *parallel.Pool
 	flushMu   []sync.Mutex
-	pending   sync.Map // id -> *pendingSnap
-	dirty     atomic.Int64
-	sweepStop chan struct{}
-	sweepDone chan struct{}
-	stopped   atomic.Bool // Shutdown ran: no sweeper, evictions flush inline
-	stopOnce  sync.Once
+	pending   sync.Map // id -> *Snapshot
 	mkdirOnce sync.Once
 	mkdirErr  error
 
@@ -220,39 +190,8 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	if cfg.SnapshotDir != "" {
 		m.writer = parallel.NewPool(2, 4*cfg.Shards)
-		m.sweepStop = make(chan struct{})
-		m.sweepDone = make(chan struct{})
-		go m.sweeper()
 	}
 	return m
-}
-
-// sweeper periodically drains the write-behind set into the writer
-// pool. It exits on Shutdown after one final sweep.
-func (m *Manager) sweeper() {
-	defer close(m.sweepDone)
-	t := time.NewTicker(flushSettle)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			m.sweep()
-		case <-m.sweepStop:
-			m.sweep()
-			return
-		}
-	}
-}
-
-// sweep queues every pending snapshot for writing. Snapshots whose
-// write is already queued or in flight are skipped (queueWrite's CAS),
-// so a slow disk cannot fill the pool queue with duplicates of the
-// same IDs and push the sweeper into inline fallback writes.
-func (m *Manager) sweep() {
-	m.pending.Range(func(k, v any) bool {
-		m.queueWrite(k.(string), v.(*pendingSnap))
-		return true
-	})
 }
 
 // Config returns the manager's effective configuration.
@@ -389,10 +328,10 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 
 // Get returns the live session with the given ID. When the manager has a
 // snapshot directory and the session is not live (evicted or from an
-// earlier process), it is transparently restored — from the in-memory
-// pending snapshot if its eviction write has not landed yet, otherwise
-// from disk. Concurrent Gets of the same evicted ID share one restore;
-// Gets of other IDs never wait on it.
+// earlier process), it is transparently restored from its snapshot
+// file, after its eviction write lands if that is still pending.
+// Concurrent Gets of the same evicted ID share one restore; Gets of
+// other IDs never wait on it.
 func (m *Manager) Get(id string) (*Session, error) {
 	sh := m.shard(id)
 	sh.mu.Lock()
@@ -427,45 +366,26 @@ func (m *Manager) Get(id string) (*Session, error) {
 	return s, nil
 }
 
-// restore rebuilds the session from its pending or on-disk snapshot.
-// Runs with a placeholder published but no lock held.
+// restore rebuilds the session from its snapshot file. Runs with a
+// placeholder published but no lock held.
 func (m *Manager) restore(id string) (*Session, error) {
-	var snap Snapshot
-	var staged *pendingSnap
-	if v, ok := m.pending.LoadAndDelete(id); ok {
-		// Evicted, write still pending: restore straight from memory and
-		// cancel the write — removing the entry hands ownership of the
-		// state back to the live session, and a sweep that already
-		// grabbed the ID finds nothing to flush.
-		m.dirty.Add(-1)
-		staged = v.(*pendingSnap)
-		snap = staged.snap
-	} else {
-		var err error
-		snap, err = readSnapshot(m.snapshotPath(id))
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-			}
-			return nil, err
-		}
-		m.stats.diskRestores.Add(1)
+	// An eviction write still pending lands first, so the file read is
+	// never older than the evicted state.
+	if err := m.flushPending(id); err != nil {
+		return nil, err
 	}
+	snap, err := readSnapshot(m.snapshotPath(id))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+		}
+		return nil, err
+	}
+	m.stats.diskRestores.Add(1)
 	if m.testRestoreStall != nil {
 		m.testRestoreStall(id)
 	}
-	// restage puts the consumed pending snapshot back on a failure path:
-	// it is the only copy of the state (its write was cancelled above),
-	// so dropping it would lose the session forever.
-	restage := func() {
-		if staged != nil {
-			if prev, _ := m.pending.Swap(id, staged); prev == nil {
-				m.dirty.Add(1)
-			}
-		}
-	}
 	if err := m.reserve(); err != nil {
-		restage()
 		return nil, err
 	}
 	s, err := snap.restore(m.resolveSegment, &m.use, m.now)
@@ -473,7 +393,6 @@ func (m *Manager) restore(id string) (*Session, error) {
 		// A snapshot naming a model backend this process cannot build
 		// (e.g. a remote endpoint no longer configured) fails here.
 		m.unreserve()
-		restage()
 		return nil, err
 	}
 	m.stats.restores.Add(1)
@@ -515,8 +434,8 @@ func (m *Manager) reserve() error {
 func (m *Manager) unreserve() { m.live.Add(-1) }
 
 // evictOne removes the least-recently-used idle session across all
-// shards, capturing its snapshot for asynchronous persistence. It fails
-// with ErrBusy when every live session is mid-operation.
+// shards and queues the write of its snapshot. It fails with ErrBusy
+// when every live session is mid-operation.
 func (m *Manager) evictOne() error {
 	for {
 		// A concurrent Close may already have freed the slot we need.
@@ -550,19 +469,17 @@ func (m *Manager) evictOne() error {
 				continue // mid-operation: not evictable
 			}
 			// Capture state and stage it as pending *before* unpublishing,
-			// so no Get can ever observe the session as missing: it is
-			// either live in the shard table or restorable from pending.
-			// The deep copy in snapshotLocked is the one deliberate
+			// so a Get that finds the ID missing from the table always
+			// finds its pending write, and lands it before reading the
+			// file. The deep copy in snapshotLocked is the one deliberate
 			// exception to the no-heavy-work-under-shard-locks rule:
 			// staging after unpublishing would open a window where the
 			// session is in neither place and a racing Get reads a stale
 			// disk file.
-			var ps *pendingSnap
-			if m.cfg.SnapshotDir != "" {
-				ps = &pendingSnap{snap: v.snapshotLocked()}
-				if prev, _ := m.pending.Swap(v.id, ps); prev == nil {
-					m.dirty.Add(1)
-				}
+			staged := m.cfg.SnapshotDir != ""
+			if staged {
+				snap := v.snapshotLocked()
+				m.pending.Store(v.id, &snap)
 			}
 			delete(sh.entries, v.id)
 			sh.mu.Unlock()
@@ -570,13 +487,8 @@ func (m *Manager) evictOne() error {
 			v.release()
 			m.unreserve()
 			m.stats.evictions.Add(1)
-			// The write itself is deferred: the sweeper drains the
-			// pending set after flushSettle, and a restore inside that
-			// window cancels it entirely. The evictor flushes its own
-			// snapshot now only when the set outgrows its RAM bound, or
-			// after Shutdown, when there is no sweeper left to drain it.
-			if ps != nil && (m.dirty.Load() > maxDirty || m.stopped.Load()) {
-				m.queueWrite(v.id, ps)
+			if staged {
+				m.queueWrite(v.id)
 			}
 			return nil
 		}
@@ -588,19 +500,13 @@ func (m *Manager) evictOne() error {
 	}
 }
 
-// queueWrite hands ps (the pending snapshot for id) to the background
-// writer pool, falling back to an inline write when the pool is
-// saturated. The CAS on ps.queued makes the handoff idempotent: repeat
-// calls while a write task is outstanding are no-ops.
-func (m *Manager) queueWrite(id string, ps *pendingSnap) {
-	if !ps.queued.CompareAndSwap(false, true) {
-		return // a write task for this snapshot is already outstanding
-	}
-	task := func() {
-		m.flushPending(id)
-		ps.queued.Store(false)
-	}
-	if m.writer != nil && m.writer.TrySubmit(task) {
+// queueWrite hands the write of id's pending snapshot to the writer
+// pool, or writes it inline when the pool is full or closed. A failed
+// write stays pending until the next restore, Snapshot, Close, Flush or
+// Shutdown that touches the ID retries it.
+func (m *Manager) queueWrite(id string) {
+	task := func() { _ = m.flushPending(id) }
+	if m.writer.TrySubmit(task) {
 		m.stats.asyncWrites.Add(1)
 		return
 	}
@@ -608,65 +514,60 @@ func (m *Manager) queueWrite(id string, ps *pendingSnap) {
 	task()
 }
 
-// flushPending writes id's pending snapshot (if it still has one) to
-// disk. The per-stripe flush lock serializes writers of the same ID so a
-// superseded snapshot can never overwrite a fresher one; on a write
-// error the pending entry is kept, so the state stays restorable from
-// memory.
-func (m *Manager) flushPending(id string) {
+// flushPending writes id's pending snapshot, if it still has one, to
+// disk. The per-stripe flush lock serializes writers of the same ID, so
+// a caller that finds the write in flight waits for it, and a
+// superseded snapshot can never overwrite a fresher one. On a write
+// error the snapshot stays pending and the error is returned.
+func (m *Manager) flushPending(id string) error {
+	// Checked first without the stripe lock, so a caller with nothing
+	// pending — nearly every restore — never queues behind an unrelated
+	// write on its stripe. A snapshot leaves pending only after its
+	// write lands, so a miss here means the file is current.
+	if _, ok := m.pending.Load(id); !ok {
+		return nil
+	}
 	mu := &m.flushMu[m.stripe(id)]
 	mu.Lock()
 	defer mu.Unlock()
 	v, ok := m.pending.Load(id)
 	if !ok {
-		return // restored, discarded, or already flushed
+		return nil // discarded or already written
 	}
-	ps := v.(*pendingSnap)
-	if _, err := m.writeSnapshotData(id, ps.snap); err != nil {
+	snap := v.(*Snapshot)
+	if _, err := m.writeSnapshotData(id, *snap); err != nil {
 		m.stats.writeErrors.Add(1)
-		return
+		return err
 	}
-	if m.pending.CompareAndDelete(id, ps) {
-		m.dirty.Add(-1)
-	}
+	m.pending.CompareAndDelete(id, snap)
+	return nil
 }
 
-// Flush blocks until every staged eviction snapshot has reached disk
-// (or recorded a write error) — the deterministic barrier tests and
-// shutdown use. It sweeps the write-behind set immediately rather than
-// waiting out the settle window, then drains the writer pool.
+// Flush blocks until every eviction snapshot staged before the call has
+// reached disk or recorded a write error: the barrier tests and
+// shutdown use. It waits for the writer pool to drain, then lands
+// whatever is still pending — a write that failed, or one running
+// inline in another goroutine, which the stripe lock waits out.
 func (m *Manager) Flush() {
 	if m.writer == nil {
 		return
 	}
-	m.sweep()
-	// sweep skips any entry whose write task is already outstanding,
-	// and that task may be running inline (pool-saturated fallback) in
-	// another goroutine where the pool barrier below cannot see it.
-	// Flushing every remaining entry here closes that gap: the stripe
-	// lock serializes us with any in-flight writer, and whichever side
-	// loses the race finds the pending entry gone and no-ops.
+	m.writer.Flush()
 	m.pending.Range(func(k, _ any) bool {
-		m.flushPending(k.(string))
+		_ = m.flushPending(k.(string))
 		return true
 	})
-	m.writer.Flush()
 }
 
-// Shutdown stops the sweeper, flushes every staged eviction snapshot,
-// and drains the background writer. The manager remains usable for
-// in-memory operations; further eviction snapshots are written inline.
+// Shutdown closes the writer pool and lands every pending eviction
+// snapshot. The manager remains usable for in-memory operations; later
+// evictions write inline, because a closed pool refuses TrySubmit.
 func (m *Manager) Shutdown() {
 	if m.writer == nil {
 		return
 	}
-	m.stopped.Store(true)
-	m.stopOnce.Do(func() {
-		close(m.sweepStop)
-		<-m.sweepDone
-	})
-	m.sweep()
 	m.writer.Close()
+	m.Flush()
 }
 
 // List returns a status per live session, ordered by ID. Shards are
@@ -708,7 +609,7 @@ func (m *Manager) Len() int {
 // Snapshot persists the session's memory, event log and config to
 // <SnapshotDir>/<id>.json and returns the path. For a live session it
 // waits for the session to go idle (honoring ctx) so the snapshot is
-// consistent; for an evicted one it flushes the pending write (or finds
+// consistent; for an evicted one it lands the pending write (or finds
 // the file already on disk) without restoring the session into the live
 // set.
 func (m *Manager) Snapshot(ctx context.Context, id string) (string, error) {
@@ -724,19 +625,30 @@ func (m *Manager) Snapshot(ctx context.Context, id string) (string, error) {
 	sh.mu.Unlock()
 	if live {
 		<-e.ready
+		// A failed create or restore, or a session that an eviction or
+		// a Close closed under the lookup, falls through to disk.
 		if e.err == nil {
-			s := e.s
-			if err := s.acquire(ctx); err != nil {
+			err := e.s.acquire(ctx)
+			if err == nil {
+				defer e.s.release()
+				return m.writeSnapshot(e.s)
+			}
+			if !errors.Is(err, ErrClosed) {
 				return "", err
 			}
-			defer s.release()
-			return m.writeSnapshot(s)
 		}
-		// The pending create/restore failed; fall through to disk.
 	}
 	// Not live: the snapshot already exists (pending or on disk) — do
 	// not restore a whole agent stack just to re-write it.
-	m.flushPending(id)
+	return m.persisted(id)
+}
+
+// persisted lands id's pending eviction write, if any, and returns the
+// path of its snapshot file, or ErrNotFound when there is none.
+func (m *Manager) persisted(id string) (string, error) {
+	if err := m.flushPending(id); err != nil {
+		return "", err
+	}
 	path := m.snapshotPath(id)
 	if _, err := os.Stat(path); err != nil {
 		if os.IsNotExist(err) {
@@ -764,6 +676,10 @@ func (m *Manager) Close(ctx context.Context, id string, discard bool) error {
 	}
 	s := e.s
 	if err := s.acquire(ctx); err != nil {
+		if errors.Is(err, ErrClosed) {
+			// An eviction or another Close closed it under the lookup.
+			return m.closeNotLive(id, discard)
+		}
 		return err
 	}
 	if !discard && m.cfg.SnapshotDir != "" {
@@ -793,40 +709,35 @@ func (m *Manager) closeNotLive(id string, discard bool) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	if !discard {
-		m.flushPending(id)
-		if _, err := os.Stat(m.snapshotPath(id)); err == nil {
-			return nil
-		}
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	_, hadPending := m.pending.Load(id)
-	if err := m.discardSnapshot(id); err != nil {
+		_, err := m.persisted(id)
 		return err
 	}
-	if hadPending {
-		return nil
+	found, err := m.discardSnapshot(id)
+	if err != nil {
+		return err
 	}
-	// Report NotFound only when there was nothing to discard at all.
-	if _, err := os.Stat(m.snapshotPath(id)); os.IsNotExist(err) {
+	if !found {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	return nil
 }
 
-// discardSnapshot drops id's persisted state: the in-memory pending
-// snapshot and the on-disk file, under the stripe flush lock so a
-// concurrent background write cannot resurrect either.
-func (m *Manager) discardSnapshot(id string) error {
+// discardSnapshot drops id's persisted state: the pending snapshot and
+// the on-disk file, under the stripe flush lock so a write in flight
+// cannot resurrect either. It reports whether either existed.
+func (m *Manager) discardSnapshot(id string) (bool, error) {
 	mu := &m.flushMu[m.stripe(id)]
 	mu.Lock()
 	defer mu.Unlock()
-	if _, ok := m.pending.LoadAndDelete(id); ok {
-		m.dirty.Add(-1)
+	_, found := m.pending.LoadAndDelete(id)
+	switch err := os.Remove(m.snapshotPath(id)); {
+	case err == nil:
+		return true, nil
+	case os.IsNotExist(err):
+		return found, nil
+	default:
+		return found, err
 	}
-	if err := os.Remove(m.snapshotPath(id)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
 }
 
 func (m *Manager) snapshotPath(id string) string {
@@ -931,12 +842,12 @@ func (m *Manager) writeSnapshotData(id string, snap Snapshot) (string, error) {
 	return path, nil
 }
 
-// snapshotSchema is the schema every snapshot is written in: the memory
-// is segment references plus delta items (an untrained session has no
-// segments, so its whole memory is the delta), and the session's event
-// log rides along. readSnapshot also reads schema 2, the same shape
-// before the log was persisted: its memory restores and its log starts
-// empty. Every other value is refused.
+// snapshotSchema is the one schema snapshots are written and read in:
+// the memory is segment references plus delta items (an untrained
+// session has no segments, so its whole memory is the delta), and the
+// session's event log rides along. readSnapshot refuses every other
+// value, including schema 2, the same shape before the log was
+// persisted.
 const snapshotSchema = 3
 
 // SegmentRef names one attached memory segment in a snapshot. The
@@ -963,10 +874,9 @@ type Snapshot struct {
 	Delta    []memory.Item  `json:"delta,omitempty"`
 	Events   []stream.Event `json:"events,omitempty"`
 
-	// segs carries the live segment pointers alongside the refs while
-	// the snapshot stays in memory (the write-behind pending set), so a
-	// restore inside the settle window re-attaches them with no disk
-	// read and no intern lookup. Never serialized.
+	// segs carries the live segment pointers alongside the refs from
+	// snapshotLocked to the write, so persistSegments can write each
+	// segment's items. Never serialized.
 	segs []*memory.Segment
 }
 
@@ -980,8 +890,8 @@ func readSnapshot(path string) (Snapshot, error) {
 	if err := json.NewDecoder(f).Decode(&snap); err != nil {
 		return Snapshot{}, fmt.Errorf("session: parse snapshot %s: %w", path, err)
 	}
-	if snap.Schema != snapshotSchema && snap.Schema != 2 {
-		return Snapshot{}, fmt.Errorf("session: snapshot %s has schema %d, want 2 or %d", path, snap.Schema, snapshotSchema)
+	if snap.Schema != snapshotSchema {
+		return Snapshot{}, fmt.Errorf("session: snapshot %s has schema %d, want %d", path, snap.Schema, snapshotSchema)
 	}
 	if err := checkLog(snap.Events); err != nil {
 		return Snapshot{}, fmt.Errorf("session: snapshot %s: event log: %w", path, err)
@@ -999,18 +909,15 @@ func (snap Snapshot) restore(resolve func(SegmentRef) (*memory.Segment, error), 
 	if err != nil {
 		return nil, err
 	}
-	segs := snap.segs
-	if segs == nil {
-		// Read from disk: re-attach each referenced segment, sharing the
-		// interned copy whenever this process already holds it.
-		segs = make([]*memory.Segment, 0, len(snap.Segments))
-		for _, ref := range snap.Segments {
-			seg, err := resolve(ref)
-			if err != nil {
-				return nil, err
-			}
-			segs = append(segs, seg)
+	// Re-attach each referenced segment, sharing the interned copy
+	// whenever this process already holds it.
+	segs := make([]*memory.Segment, 0, len(snap.Segments))
+	for _, ref := range snap.Segments {
+		seg, err := resolve(ref)
+		if err != nil {
+			return nil, err
 		}
+		segs = append(segs, seg)
 	}
 	s.agent.Memory.RestoreParts(segs, snap.Delta)
 	s.created = snap.Created

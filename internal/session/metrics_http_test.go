@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +96,33 @@ func TestHTTPDrainHandoff(t *testing.T) {
 	code, body = doJSON(t, "POST", srv2.URL+"/v1/sessions/nodrain/drain", nil)
 	if code != http.StatusConflict || !strings.Contains(string(body), `"code":"conflict"`) {
 		t.Errorf("drain without snapshots = %d %s, want 409 conflict", code, body)
+	}
+}
+
+// TestHTTPDeleteDrainedSession: DELETE of a session that exists only as
+// its snapshot file removes the file and answers 200, as API.md
+// promises; a second DELETE finds nothing and answers 404.
+func TestHTTPDeleteDrainedSession(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, ManagerConfig{SnapshotDir: dir})
+	if code, body := doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{ID: "gone"}); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	if code, body := doJSON(t, "POST", srv.URL+"/v1/sessions/gone/drain", nil); code != http.StatusOK {
+		t.Fatalf("drain: %d %s", code, body)
+	}
+	path := filepath.Join(dir, "gone.json")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("drained snapshot: %v", err)
+	}
+	if code, body := doJSON(t, "DELETE", srv.URL+"/v1/sessions/gone", nil); code != http.StatusOK {
+		t.Errorf("DELETE of a drained session = %d %s, want 200", code, body)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("snapshot after DELETE: %v, want it removed", err)
+	}
+	if code, body := doJSON(t, "DELETE", srv.URL+"/v1/sessions/gone", nil); code != http.StatusNotFound {
+		t.Errorf("second DELETE = %d %s, want 404", code, body)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -299,9 +300,9 @@ func TestCrossShardCapacity(t *testing.T) {
 	}
 }
 
-// TestFlushBarrierLandsEvictionWrites: eviction returns before its
-// snapshot write hits disk; Flush is the deterministic barrier after
-// which the file must exist.
+// TestFlushBarrierLandsEvictionWrites: eviction queues its snapshot
+// write and may return before it hits disk; Flush is the deterministic
+// barrier after which the file must exist.
 func TestFlushBarrierLandsEvictionWrites(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: dir})
@@ -324,10 +325,11 @@ func TestFlushBarrierLandsEvictionWrites(t *testing.T) {
 	}
 }
 
-// TestRestoreFromPendingSkipsDisk: a Get racing the async eviction write
-// restores from the in-memory pending snapshot — zero disk reads — and
-// still sees identical state.
-func TestRestoreFromPendingSkipsDisk(t *testing.T) {
+// TestRestoreAfterEvictionReadsLatestSnapshot: a Get right after an
+// eviction lands the queued write before it reads the file, so the
+// restore comes from disk and carries the evicted state — never the
+// older snapshot the file held before the eviction.
+func TestRestoreAfterEvictionReadsLatestSnapshot(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: dir})
@@ -338,32 +340,46 @@ func TestRestoreFromPendingSkipsDisk(t *testing.T) {
 	if _, err := s.Train(ctx); err != nil {
 		t.Fatal(err)
 	}
-	wantItems := s.MemoryLen()
-	if _, err := m.Create("second", Config{Seed: 42}); err != nil {
-		t.Fatal(err) // evicts first
+	if _, err := m.Snapshot(ctx, "first"); err != nil {
+		t.Fatal(err)
 	}
-	restored, err := m.Get("first") // evicts second, may beat the async write
+	oldItems, oldLast := s.MemoryLen(), s.LastEventID()
+	if _, err := s.SelfLearn(ctx, []string{"submarine cable vulnerabilities"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ask(ctx, vulnQuestion); err != nil {
+		t.Fatal(err)
+	}
+	wantItems, wantLast := s.MemoryLen(), s.LastEventID()
+	if wantItems == oldItems || wantLast == oldLast {
+		t.Fatalf("state did not move past the snapshot: items %d -> %d, last event %d -> %d", oldItems, wantItems, oldLast, wantLast)
+	}
+	if _, err := m.Create("second", Config{Seed: 42}); err != nil {
+		t.Fatal(err) // evicts first; its write is queued
+	}
+	restored, err := m.Get("first") // evicts second
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.MemoryLen() != wantItems {
-		t.Errorf("restored memory %d items, want %d", restored.MemoryLen(), wantItems)
+	if got := restored.MemoryLen(); got != wantItems {
+		t.Errorf("restored memory %d items, want the evicted %d (older file: %d)", got, wantItems, oldItems)
+	}
+	if got := restored.LastEventID(); got != wantLast {
+		t.Errorf("restored LastEventID %d, want the evicted %d (older file: %d)", got, wantLast, oldLast)
 	}
 	if st := restored.Status(); !st.Trained {
 		t.Error("restored session lost trained state")
 	}
-	if st := m.Stats(); st.Restores != 1 {
-		t.Errorf("restores = %d, want 1", st.Restores)
+	if st := m.Stats(); st.Restores != 1 || st.DiskRestores != 1 {
+		t.Errorf("restores = %d, disk restores = %d, want 1 and 1", st.Restores, st.DiskRestores)
 	}
 }
 
-// TestRestoreReserveFailureKeepsPendingSnapshot is the regression test
-// for the lost-state bug: restore consumes the pending eviction
-// snapshot (cancelling its write) before reserving capacity, so a
-// reserve failure — ErrBusy, every live session mid-operation — must
-// re-stage that snapshot. Dropping it would lose the session's only
-// copy forever: the write was cancelled, so there is no disk file.
-func TestRestoreReserveFailureKeepsPendingSnapshot(t *testing.T) {
+// TestRestoreReserveFailureKeepsSnapshot: a restore reads the snapshot
+// file before it reserves capacity, so a reserve failure — ErrBusy,
+// every live session mid-operation — must leave that file in place and
+// the session restorable on the next Get with the same state.
+func TestRestoreReserveFailureKeepsSnapshot(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: dir})
@@ -377,7 +393,7 @@ func TestRestoreReserveFailureKeepsPendingSnapshot(t *testing.T) {
 	wantItems := a.MemoryLen()
 	b, err := m.Create("b", Config{Seed: 42})
 	if err != nil {
-		t.Fatal(err) // evicts a; its snapshot is staged, write deferred
+		t.Fatal(err) // evicts a; its snapshot write is queued
 	}
 
 	// Park b mid-operation: restoring a now needs an eviction, but the
@@ -391,9 +407,8 @@ func TestRestoreReserveFailureKeepsPendingSnapshot(t *testing.T) {
 	}
 	b.release()
 
-	// The failed restore must have left a restorable: same trained
-	// state and memory, whether it comes back from the re-staged
-	// pending snapshot or from its eventual disk write.
+	// The failed restore must have left a restorable from its file on
+	// disk, with the same trained state and memory.
 	restored, err := m.Get("a")
 	if err != nil {
 		t.Fatalf("session a lost after failed restore: %v", err)
@@ -406,9 +421,109 @@ func TestRestoreReserveFailureKeepsPendingSnapshot(t *testing.T) {
 	}
 }
 
-// TestEvictionAfterShutdownWritesInline: Shutdown stops the sweeper, so
-// an eviction after it must not strand its snapshot in the pending set
-// — it is written out inline before the eviction returns.
+// TestEvictionWriteFailureLosesNothing: while an eviction write keeps
+// failing, the snapshot stays pending, Flush counts each failed attempt,
+// and a restore of the ID returns the write error instead of serving
+// the pending copy or reporting the session missing. Once the
+// directory is writable again, the next restore lands the write and
+// returns the state the session had when it was evicted.
+func TestEvictionWriteFailureLosesNothing(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "snaps")
+	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: dir})
+	a, err := m.Create("a", Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Train(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// One successful snapshot first: the manager creates its directory
+	// once and keeps that result.
+	if _, err := m.Snapshot(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Ask(ctx, vulnQuestion); err != nil {
+		t.Fatal(err)
+	}
+	wantItems, wantLast := a.MemoryLen(), a.LastEventID()
+
+	// Move the directory aside and put a regular file at its path, so
+	// every snapshot write fails.
+	aside := dir + ".aside"
+	if err := os.Rename(dir, aside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create("b", Config{Seed: 42}); err != nil {
+		t.Fatal(err) // evicts a; its write fails
+	}
+	m.Flush()
+	if st := m.Stats(); st.WriteErrors < 1 {
+		t.Fatalf("write errors = %d after a failed eviction write, want >= 1", st.WriteErrors)
+	}
+	_, err = m.Get("a")
+	if err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(a) while its write fails = %v, want the write error", err)
+	}
+	if !strings.Contains(err.Error(), "write snapshot") {
+		t.Errorf("Get(a) error = %v, want the snapshot write error", err)
+	}
+
+	// Restore the directory: the next Get lands the write and restores
+	// the evicted state.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, dir); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := m.Get("a")
+	if err != nil {
+		t.Fatalf("Get(a) after the directory came back: %v", err)
+	}
+	if got := restored.MemoryLen(); got != wantItems {
+		t.Errorf("restored memory %d items, want %d", got, wantItems)
+	}
+	if got := restored.LastEventID(); got != wantLast {
+		t.Errorf("restored LastEventID %d, want %d", got, wantLast)
+	}
+}
+
+// TestCloseOfSessionClosedUnderLookup: an eviction or another Close can
+// close a session between the table lookup of Snapshot or Close and its
+// op lock. Both must then take the not-live path: Snapshot returns the
+// file's path, and a discarding Close removes the file and succeeds.
+func TestCloseOfSessionClosedUnderLookup(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	m := newTestManager(t, ManagerConfig{SnapshotDir: dir})
+	s, err := m.Create("a", Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Snapshot(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.markClosed() // closed, while its table entry stays
+	path, err := m.Snapshot(ctx, "a")
+	if err != nil || path != want {
+		t.Errorf("Snapshot of a session closed under lookup = %q, %v; want %q", path, err, want)
+	}
+	if err := m.Close(ctx, "a", true); err != nil {
+		t.Errorf("Close(discard) of a session closed under lookup = %v, want nil", err)
+	}
+	if _, err := os.Stat(want); !os.IsNotExist(err) {
+		t.Errorf("snapshot file after Close(discard): %v, want it removed", err)
+	}
+}
+
+// TestEvictionAfterShutdownWritesInline: Shutdown closes the writer
+// pool, so an eviction after it must not strand its snapshot in the
+// pending set — it is written out inline before the eviction returns.
 func TestEvictionAfterShutdownWritesInline(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: dir})
@@ -417,7 +532,7 @@ func TestEvictionAfterShutdownWritesInline(t *testing.T) {
 	}
 	m.Shutdown()
 	if _, err := m.Create("late", Config{Seed: 42}); err != nil {
-		t.Fatal(err) // evicts early: no sweeper left, write must be inline
+		t.Fatal(err) // evicts early: the pool is closed, write must be inline
 	}
 	if _, err := os.Stat(filepath.Join(dir, "early.json")); err != nil {
 		t.Fatalf("post-Shutdown eviction snapshot not on disk: %v", err)

@@ -534,8 +534,8 @@ func TestEventBufferFromEvents(t *testing.T) {
 }
 
 // TestEventBufferFromEventsEmpty: a buffer with no restored log — a new
-// session, or a schema-2 snapshot — reports LastEventID 0 and numbers
-// its first event 1.
+// session, or a snapshot written with no events — reports LastEventID 0
+// and numbers its first event 1.
 func TestEventBufferFromEventsEmpty(t *testing.T) {
 	for name, log := range map[string][]stream.Event{"nil": nil, "empty": {}} {
 		b := newEventBuffer(log)
