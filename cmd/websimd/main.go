@@ -4,10 +4,9 @@
 // train, answer, self-learn, plan and report on demand.
 //
 //	websimd [-addr :8080] [-seed N] [-social] [-latency 0ms]
-//	        [-capacity 64] [-shards 0] [-snapshots DIR] [-timeout 30s]
+//	        [-capacity 64] [-snapshots DIR] [-timeout 30s]
 //	        [-model sim|ensemble|remote] [-retrieval-workers 0]
 //	        [-max-inflight 0]
-//	        [-llm-hedge] [-llm-hedge-delay 0ms]
 //	        [-incident-workers 0] [-incident-max-turns 4] [-incident-sim]
 //
 // Gateway mode (scale-out tier; see internal/gateway and API.md):
@@ -72,9 +71,9 @@
 // -model picks the default LLM backend for new sessions (a per-session
 // "model" field in POST /v1/sessions overrides it). The remote backend
 // reads REPRO_LLM_ENDPOINT / REPRO_LLM_API_KEY / REPRO_LLM_MODEL and
-// sends one prompt per chat-completions request; the -llm-hedge* flags
-// tune its tail-latency hedging (they set REPRO_LLM_HEDGE and
-// REPRO_LLM_HEDGE_DELAY for every session built in this process).
+// sends one prompt per chat-completions request; REPRO_LLM_HEDGE and
+// REPRO_LLM_HEDGE_DELAY tune its tail-latency hedging. Backends started
+// by -gateway -spawn inherit all five from the gateway's environment.
 package main
 
 import (
@@ -105,13 +104,10 @@ func main() {
 	social := flag.Bool("social", false, "enable the social-media crawler extension")
 	latency := flag.Duration("latency", 0, "simulated per-request latency")
 	capacity := flag.Int("capacity", 64, "max live agent sessions (LRU eviction past it)")
-	shards := flag.Int("shards", 0, "session-manager lock shards (0 = min(GOMAXPROCS, 16))")
 	snapshots := flag.String("snapshots", "", "directory for session snapshots (enables restore)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout for agent calls")
 	model := flag.String("model", "", "default LLM backend for new sessions: sim, ensemble, remote (empty = sim)")
 	retrievalWorkers := flag.Int("retrieval-workers", 0, "concurrent web requests per self-learning round (0 = min(GOMAXPROCS, 8), 1 = sequential)")
-	hedge := flag.Bool("llm-hedge", false, "enable tail-latency request hedging in the remote backend")
-	hedgeDelay := flag.Duration("llm-hedge-delay", 0, "fixed hedge trigger (0 = adaptive p99)")
 	incidentWorkers := flag.Int("incident-workers", 0, "incident-pipeline worker pool size (0 = pipeline disabled)")
 	incidentMaxTurns := flag.Int("incident-max-turns", 4, "self-learning rounds per leader investigation before the group escalates")
 	incidentSim := flag.Bool("incident-sim", false, "seed the incident queue from the built-in storm + BGP simulators at startup")
@@ -121,18 +117,9 @@ func main() {
 	spawn := flag.Int("spawn", 0, "spawn N child websimd backends for -gateway")
 	flag.Parse()
 
-	if err := validateFlags(*shards, *gatewayMode, *backends, *spawn, *incidentSim, *incidentWorkers, *maxInFlight); err != nil {
+	if err := validateFlags(*gatewayMode, *backends, *spawn, *incidentSim, *incidentWorkers, *maxInFlight); err != nil {
 		fmt.Fprintf(os.Stderr, "websimd: %v\n", err)
 		os.Exit(2)
-	}
-
-	// The backend reads its tuning from the environment at session
-	// construction; the flags just feed it.
-	if *hedge {
-		os.Setenv(backend.EnvHedge, "1")
-	}
-	if *hedgeDelay > 0 {
-		os.Setenv(backend.EnvHedgeDelay, hedgeDelay.String())
 	}
 
 	if !backend.Known(*model) {
@@ -149,7 +136,6 @@ func main() {
 	eng := evalcache.Engine(*seed, opts)
 	mgr := session.NewManager(session.ManagerConfig{
 		Capacity:       *capacity,
-		Shards:         *shards,
 		SnapshotDir:    *snapshots,
 		RequestTimeout: *timeout,
 		MaxInFlight:    *maxInFlight,
@@ -201,8 +187,8 @@ func main() {
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	fmt.Printf("websimd: serving the simulated Internet and agent sessions on %s (social=%v, capacity=%d, shards=%d, model=%s)\n",
-		*addr, *social, *capacity, mgr.Config().Shards, modelName(*model))
+	fmt.Printf("websimd: serving the simulated Internet and agent sessions on %s (social=%v, capacity=%d, model=%s)\n",
+		*addr, *social, *capacity, modelName(*model))
 	log.Fatal(srv.ListenAndServe())
 }
 
@@ -215,18 +201,7 @@ func modelName(m string) string {
 
 // validateFlags rejects flag combinations that would start a broken
 // process. All of these exit 2 before anything listens.
-func validateFlags(shards int, gatewayMode bool, backends string, spawn int, incidentSim bool, incidentWorkers, maxInFlight int) error {
-	// -shards 0 is the auto default, but saying it explicitly is a
-	// contradiction: the user asked for zero lock shards.
-	explicitShards := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			explicitShards = true
-		}
-	})
-	if shards < 0 || (explicitShards && shards == 0) {
-		return fmt.Errorf("-shards must be positive (got %d; omit the flag for auto)", shards)
-	}
+func validateFlags(gatewayMode bool, backends string, spawn int, incidentSim bool, incidentWorkers, maxInFlight int) error {
 	if maxInFlight < 0 {
 		return fmt.Errorf("-max-inflight must be >= 0 (got %d)", maxInFlight)
 	}

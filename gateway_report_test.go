@@ -110,7 +110,7 @@ func getJSON(t *testing.T, client *http.Client, url string, v any) {
 // balancedSessionIDs picks session IDs that hash evenly: perBackend of
 // them landing on every ring member.
 func balancedSessionIDs(addrs []string, perBackend int) []string {
-	ring := gateway.NewRing(addrs, 0)
+	ring := gateway.NewRing(addrs)
 	need := map[string]int{}
 	for _, a := range addrs {
 		need[a] = perBackend
@@ -168,7 +168,7 @@ func TestGatewayReport(t *testing.T) {
 
 			var stats struct {
 				Nodes map[string]struct {
-					Sessions session.SessionsStats `json:"sessions"`
+					Sessions session.ManagerStats `json:"sessions"`
 				} `json:"nodes"`
 			}
 			getJSON(t, client, base+"/v1/stats", &stats)

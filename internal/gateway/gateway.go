@@ -20,37 +20,24 @@ import (
 
 // Config configures a Gateway.
 type Config struct {
-	// Replicas is the virtual-node count per backend (<=0 means
-	// DefaultReplicas).
-	Replicas int
 	// HealthInterval is how often each backend's /healthz is probed.
 	// <=0 disables the prober (tests drive membership explicitly).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe (default 1s).
-	HealthTimeout time.Duration
-	// HealthFails is the consecutive-failure count after which a
-	// backend is ejected from the ring (default 3).
-	HealthFails int
-	// MigrateTimeout bounds the drain sweep of one membership change
-	// (default 30s).
-	MigrateTimeout time.Duration
 	// Logf logs membership and migration events. Nil means silent.
 	Logf func(format string, args ...any)
 }
 
+const (
+	// healthTimeout bounds one probe.
+	healthTimeout = time.Second
+	// healthFails is the consecutive-failure count after which a
+	// backend is ejected from the ring.
+	healthFails = 3
+	// migrateTimeout bounds the drain sweep of one membership change.
+	migrateTimeout = 30 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = time.Second
-	}
-	if c.HealthFails <= 0 {
-		c.HealthFails = 3
-	}
-	if c.MigrateTimeout <= 0 {
-		c.MigrateTimeout = 30 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -93,13 +80,13 @@ type Gateway struct {
 	seq    atomic.Int64 // generated session IDs (g-s%06d)
 	incSeq atomic.Int64 // pre-assigned incident IDs (inc-g%06d)
 
-	proxied     atomic.Int64
-	proxyErrors atomic.Int64
-	migrations  atomic.Int64
-	ejected     atomic.Int64
+	ejected atomic.Int64
 
-	reg     *metrics.Registry
-	hopHist *metrics.Histogram
+	reg         *metrics.Registry
+	hopHist     *metrics.Histogram
+	proxied     *metrics.Counter
+	proxyErrors *metrics.Counter
+	migrations  *metrics.Counter
 
 	mux  *http.ServeMux
 	stop chan struct{}
@@ -110,7 +97,7 @@ type Gateway struct {
 // prober.
 func New(cfg Config, backends []string) *Gateway {
 	g := &Gateway{cfg: cfg.withDefaults(), stop: make(chan struct{})}
-	g.ring.Store(NewRing(backends, g.cfg.Replicas))
+	g.ring.Store(NewRing(backends))
 	for _, a := range g.ring.Load().Addrs() {
 		g.nodes.Store(a, newNode(a))
 	}
@@ -119,12 +106,9 @@ func New(cfg Config, backends []string) *Gateway {
 		"Wall time of one proxied request, including the backend.", nil)
 	g.reg.GaugeFunc("repro_gateway_backends", "Backends on the ring.",
 		func() float64 { return float64(g.ring.Load().Len()) })
-	g.reg.GaugeFunc("repro_gateway_proxied_total", "Requests proxied to a backend.",
-		func() float64 { return float64(g.proxied.Load()) })
-	g.reg.GaugeFunc("repro_gateway_proxy_errors_total", "Proxied requests that failed to reach their backend.",
-		func() float64 { return float64(g.proxyErrors.Load()) })
-	g.reg.GaugeFunc("repro_gateway_migrations_total", "Sessions drained for ring changes.",
-		func() float64 { return float64(g.migrations.Load()) })
+	g.proxied = g.reg.Counter("repro_gateway_proxied_total", "Requests proxied to a backend.")
+	g.proxyErrors = g.reg.Counter("repro_gateway_proxy_errors_total", "Proxied requests that failed to reach their backend.")
+	g.migrations = g.reg.Counter("repro_gateway_migrations_total", "Sessions drained for ring changes.")
 	g.mux = g.routes()
 	if g.cfg.HealthInterval > 0 {
 		go g.probeLoop()
@@ -156,9 +140,9 @@ type Stats struct {
 func (g *Gateway) Stats() Stats {
 	return Stats{
 		Backends:    g.ring.Load().Addrs(),
-		Proxied:     g.proxied.Load(),
-		ProxyErrors: g.proxyErrors.Load(),
-		Migrations:  g.migrations.Load(),
+		Proxied:     g.proxied.Value(),
+		ProxyErrors: g.proxyErrors.Value(),
+		Migrations:  g.migrations.Value(),
 		Ejected:     g.ejected.Load(),
 	}
 }
@@ -356,7 +340,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, n *node, paylo
 	}
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, "http://"+n.addr+r.URL.RequestURI(), body)
 	if err != nil {
-		g.proxyErrors.Add(1)
+		g.proxyErrors.Inc()
 		session.WriteErrorCode(w, http.StatusBadGateway, "bad_gateway", err.Error())
 		return true
 	}
@@ -367,7 +351,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, n *node, paylo
 	}
 	resp, err := n.client.Do(out)
 	if err != nil {
-		g.proxyErrors.Add(1)
+		g.proxyErrors.Inc()
 		session.WriteErrorCode(w, http.StatusBadGateway, "bad_gateway",
 			fmt.Sprintf("backend %s: %v", n.addr, err))
 		return true
@@ -377,7 +361,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, n *node, paylo
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return false
 	}
-	g.proxied.Add(1)
+	g.proxied.Inc()
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
@@ -389,17 +373,15 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, n *node, paylo
 	return true
 }
 
-// node returns the client for addr, creating one if the ring knows the
-// address but the map does not (possible briefly during AddBackend).
+// node returns the client for addr, or nil once addr has left the
+// ring. AddBackend stores a node before it publishes the ring that
+// names it, and RemoveBackend unpublishes the ring before it deletes
+// the node, so every ring member has one.
 func (g *Gateway) node(addr string) *node {
 	if v, ok := g.nodes.Load(addr); ok {
 		return v.(*node)
 	}
-	if !g.ring.Load().Has(addr) {
-		return nil
-	}
-	v, _ := g.nodes.LoadOrStore(addr, newNode(addr))
-	return v.(*node)
+	return nil
 }
 
 // bufPool holds the 32KB copy buffers shared by every proxied
@@ -503,7 +485,7 @@ func (g *Gateway) fanoutList(path string) http.HandlerFunc {
 			}
 		})
 		if failure != nil {
-			g.proxyErrors.Add(1)
+			g.proxyErrors.Inc()
 			session.WriteErrorCode(w, http.StatusBadGateway, "bad_gateway", failure.Error())
 			return
 		}
@@ -672,7 +654,7 @@ func (g *Gateway) drainMoved(old, next *Ring) {
 // are logged, not fatal — an unreachable backend can't drain, and its
 // sessions restore from their last snapshot anyway.
 func (g *Gateway) drainNode(n *node, match func(id string) bool) {
-	ctx, cancel := contextWithTimeout(g.cfg.MigrateTimeout)
+	ctx, cancel := contextWithTimeout(migrateTimeout)
 	defer cancel()
 	after := ""
 	for {
@@ -709,7 +691,7 @@ func (g *Gateway) drainNode(n *node, match func(id string) bool) {
 			io.Copy(io.Discard, io.LimitReader(dresp.Body, 1<<16))
 			dresp.Body.Close()
 			if dresp.StatusCode == http.StatusOK {
-				g.migrations.Add(1)
+				g.migrations.Inc()
 				g.cfg.Logf("gateway: migrated session %s off %s", it.ID, n.addr)
 			} else {
 				g.cfg.Logf("gateway: drain %s/%s: status %d", n.addr, it.ID, dresp.StatusCode)
@@ -722,7 +704,7 @@ func (g *Gateway) drainNode(n *node, match func(id string) bool) {
 	}
 }
 
-// probeLoop ejects backends whose /healthz fails HealthFails times in
+// probeLoop ejects backends whose /healthz fails healthFails times in
 // a row. Ejection is ungraceful by definition — the process is gone —
 // so in-flight state since the last snapshot is lost and successors
 // restore what was persisted.
@@ -744,9 +726,9 @@ func (g *Gateway) probeLoop() {
 				n.fails.Store(0)
 				continue
 			}
-			if int(n.fails.Add(1)) >= g.cfg.HealthFails {
+			if n.fails.Add(1) >= healthFails {
 				g.ejected.Add(1)
-				g.cfg.Logf("gateway: backend %s failed %d probes, ejecting", addr, g.cfg.HealthFails)
+				g.cfg.Logf("gateway: backend %s failed %d probes, ejecting", addr, healthFails)
 				_ = g.RemoveBackend(addr, false)
 			}
 		}
@@ -760,7 +742,7 @@ func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 }
 
 func (g *Gateway) probe(n *node) bool {
-	ctx, cancel := contextWithTimeout(g.cfg.HealthTimeout)
+	ctx, cancel := contextWithTimeout(healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+n.addr+"/healthz", nil)
 	if err != nil {

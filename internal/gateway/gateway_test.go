@@ -201,6 +201,9 @@ func TestGatewayRoutingAndFanout(t *testing.T) {
 	}
 	for _, want := range []string{
 		"repro_gateway_backends 2",
+		"# TYPE repro_gateway_proxied_total counter",
+		"# TYPE repro_gateway_proxy_errors_total counter",
+		"# TYPE repro_gateway_migrations_total counter",
 		"repro_gateway_proxied_total",
 		"# TYPE repro_gateway_proxy_seconds histogram",
 		fmt.Sprintf(`node="%s"`, addrA),

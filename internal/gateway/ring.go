@@ -24,9 +24,8 @@ const DefaultReplicas = 64
 // a new ring (the gateway swaps it in atomically); lookups are
 // lock-free binary searches.
 type Ring struct {
-	replicas int
-	addrs    []string // sorted, deduplicated
-	points   []point  // sorted by hash
+	addrs  []string // sorted, deduplicated
+	points []point  // sorted by hash
 }
 
 type point struct {
@@ -34,13 +33,10 @@ type point struct {
 	addr string
 }
 
-// NewRing builds a ring over the given backend addresses with the
-// given virtual-node count (<=0 means DefaultReplicas). Duplicate
-// addresses collapse; order does not matter.
-func NewRing(addrs []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+// NewRing builds a ring over the given backend addresses with
+// DefaultReplicas virtual nodes each. Duplicate addresses collapse;
+// order does not matter.
+func NewRing(addrs []string) *Ring {
 	uniq := make([]string, 0, len(addrs))
 	seen := make(map[string]bool, len(addrs))
 	for _, a := range addrs {
@@ -50,10 +46,10 @@ func NewRing(addrs []string, replicas int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{replicas: replicas, addrs: uniq}
-	r.points = make([]point, 0, len(uniq)*replicas)
+	r := &Ring{addrs: uniq}
+	r.points = make([]point, 0, len(uniq)*DefaultReplicas)
 	for _, a := range uniq {
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < DefaultReplicas; i++ {
 			r.points = append(r.points, point{hash: hashKey(a + "#" + strconv.Itoa(i)), addr: a})
 		}
 	}
@@ -110,7 +106,7 @@ func (r *Ring) Has(addr string) bool {
 
 // With returns a new ring with addr added (a no-op copy if present).
 func (r *Ring) With(addr string) *Ring {
-	return NewRing(append(r.Addrs(), addr), r.replicas)
+	return NewRing(append(r.Addrs(), addr))
 }
 
 // Without returns a new ring with addr removed.
@@ -121,7 +117,7 @@ func (r *Ring) Without(addr string) *Ring {
 			out = append(out, a)
 		}
 	}
-	return NewRing(out, r.replicas)
+	return NewRing(out)
 }
 
 // hashKey is 64-bit FNV-1a run through a splitmix64 finalizer. Raw

@@ -19,9 +19,9 @@ func keys(n int) []string {
 func TestRingDeterminism(t *testing.T) {
 	addrs := []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003", "127.0.0.1:9004"}
 	shuffled := []string{"127.0.0.1:9003", "127.0.0.1:9001", "127.0.0.1:9004", "127.0.0.1:9002"}
-	a := NewRing(addrs, 0)
-	b := NewRing(shuffled, 0)
-	c := NewRing(append(addrs, addrs...), 0) // duplicates collapse
+	a := NewRing(addrs)
+	b := NewRing(shuffled)
+	c := NewRing(append(addrs, addrs...)) // duplicates collapse
 	for _, k := range keys(2000) {
 		if a.Owner(k) != b.Owner(k) || a.Owner(k) != c.Owner(k) {
 			t.Fatalf("owner of %s differs across equivalent rings: %s / %s / %s",
@@ -33,13 +33,13 @@ func TestRingDeterminism(t *testing.T) {
 		t.Fatal("Owner not stable")
 	}
 	// Single-backend rings own everything; empty rings own nothing.
-	solo := NewRing([]string{"127.0.0.1:9001"}, 0)
+	solo := NewRing([]string{"127.0.0.1:9001"})
 	for _, k := range keys(100) {
 		if solo.Owner(k) != "127.0.0.1:9001" {
 			t.Fatalf("solo ring misrouted %s", k)
 		}
 	}
-	if NewRing(nil, 0).Owner("x") != "" {
+	if NewRing(nil).Owner("x") != "" {
 		t.Fatal("empty ring claimed an owner")
 	}
 }
@@ -49,7 +49,7 @@ func TestRingDeterminism(t *testing.T) {
 // fair share of a large key sample.
 func TestRingBalance(t *testing.T) {
 	addrs := []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003", "127.0.0.1:9004"}
-	r := NewRing(addrs, 0)
+	r := NewRing(addrs)
 	count := map[string]int{}
 	sample := keys(8000)
 	for _, k := range sample {
@@ -73,7 +73,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	addrs := []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003", "127.0.0.1:9004"}
 	sample := keys(8000)
 
-	before := NewRing(addrs, 0)
+	before := NewRing(addrs)
 	joined := before.With("127.0.0.1:9005")
 	moved := 0
 	for _, k := range sample {

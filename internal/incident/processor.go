@@ -10,7 +10,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/parallel"
 	"repro/internal/session"
-	"repro/internal/stream"
 )
 
 // ProcessorConfig tunes the queue processor.
@@ -28,10 +27,11 @@ type ProcessorConfig struct {
 	// seed, web options). The processor overrides the role (an incident
 	// analyst for the group's title) and the round bound per group.
 	Session session.Config
-	// Poll is the idle re-scan interval for Run (default 2s); filings
-	// kick the loop immediately regardless.
-	Poll time.Duration
 }
+
+// pollInterval is how often an idle Run loop re-scans the queue; a
+// filing kicks the loop at once.
+const pollInterval = 2 * time.Second
 
 func (c ProcessorConfig) withDefaults() ProcessorConfig {
 	if c.Workers <= 0 {
@@ -39,9 +39,6 @@ func (c ProcessorConfig) withDefaults() ProcessorConfig {
 	}
 	if c.MaxTurns <= 0 {
 		c.MaxTurns = 4
-	}
-	if c.Poll <= 0 {
-		c.Poll = 2 * time.Second
 	}
 	return c
 }
@@ -110,7 +107,7 @@ func (p *Processor) Kick() {
 // released back to open on the way out.
 func (p *Processor) Run(ctx context.Context) {
 	p.store.OnFile(p.Kick)
-	tick := time.NewTicker(p.cfg.Poll)
+	tick := time.NewTicker(pollInterval)
 	defer tick.Stop()
 	for {
 		_ = p.Drain(ctx)
@@ -229,7 +226,7 @@ func (p *Processor) processGroup(ctx context.Context, g []Incident) error {
 	// Bridge every investigation step into the leader's event log. The
 	// observer runs inside the session's serialized operation, so the
 	// log order is deterministic.
-	if err := s.Tee(ctx, stream.Scoped(leader.ID, p.store.Observer(leader.ID))); err != nil {
+	if err := s.Tee(ctx, p.store.Observer(leader.ID)); err != nil {
 		p.releaseGroup(g)
 		return err
 	}

@@ -223,7 +223,7 @@ func TestStoreTransitionTable(t *testing.T) {
 func TestStoreObserverBridge(t *testing.T) {
 	st := newTestStore(t, "")
 	inc, _ := st.File(Filing{Type: "t"})
-	obs := stream.Scoped(inc.ID, st.Observer(inc.ID))
+	obs := st.Observer(inc.ID)
 	obs(stream.Event{Type: stream.EventOp, Text: "investigate"})
 	obs(stream.Event{Type: stream.EventRound, Round: 1, Confidence: 8, Verdict: "yes"})
 	obs(stream.Event{Type: stream.EventAnswer, Text: "done", Confidence: 8})

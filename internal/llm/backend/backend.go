@@ -83,7 +83,7 @@ type Options struct {
 	// (0 = adaptive p99).
 	HedgeDelay time.Duration
 	// Counters receives the remote client's instrumentation. Nil means
-	// the process-wide default set, which Manager.Stats() reports.
+	// the process-wide default set, which GET /v1/stats reports.
 	Counters *Counters
 }
 
@@ -220,7 +220,7 @@ type Counters struct {
 }
 
 // Default is the process-wide counter set remote clients report into
-// unless Options.Counters overrides it; Manager.Stats() exposes its
+// unless Options.Counters overrides it; GET /v1/stats exposes its
 // snapshot for capacity planning.
 var Default = &Counters{}
 

@@ -23,6 +23,15 @@ import (
 // while the circuit breaker is rejecting traffic.
 var ErrBreakerOpen = errors.New("backend: circuit breaker open")
 
+const (
+	// breakerThreshold is the consecutive-failure run that opens the
+	// circuit.
+	breakerThreshold = 5
+	// breakerCooldown is how long the breaker stays open before it
+	// admits one half-open probe.
+	breakerCooldown = 10 * time.Second
+)
+
 // Clock abstracts time for the remote client so every failure path —
 // backoff schedules, Retry-After waits, breaker cooldowns — is
 // deterministically testable with a fake clock and no real sleeps.
@@ -70,12 +79,6 @@ type RemoteConfig struct {
 	BackoffBase time.Duration
 	// BackoffMax caps one backoff wait (default 5s).
 	BackoffMax time.Duration
-	// BreakerThreshold is the consecutive-failure run that opens the
-	// circuit (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before
-	// admitting one half-open probe (default 10s).
-	BreakerCooldown time.Duration
 	// MaxInFlight bounds concurrent upstream requests; excess callers
 	// wait, honoring ctx (default 32).
 	MaxInFlight int
@@ -123,12 +126,6 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 32
@@ -328,7 +325,7 @@ func (r *Remote) admit() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if r.cfg.Clock.Now().Sub(r.openedAt) < r.cfg.BreakerCooldown {
+		if r.cfg.Clock.Now().Sub(r.openedAt) < breakerCooldown {
 			return false
 		}
 		// Cooldown over: this request becomes the half-open probe.
@@ -354,7 +351,7 @@ func (r *Remote) recordSuccess() {
 }
 
 // recordFailure advances the breaker: a failed half-open probe reopens
-// it immediately, a closed-state failure run of BreakerThreshold opens
+// it immediately, a closed-state failure run of breakerThreshold opens
 // it.
 func (r *Remote) recordFailure() {
 	r.bmu.Lock()
@@ -367,7 +364,7 @@ func (r *Remote) recordFailure() {
 		r.cfg.Counters.breakerOpens.Add(1)
 	case breakerClosed:
 		r.failRun++
-		if r.failRun >= r.cfg.BreakerThreshold {
+		if r.failRun >= breakerThreshold {
 			r.state = breakerOpen
 			r.openedAt = r.cfg.Clock.Now()
 			r.failRun = 0

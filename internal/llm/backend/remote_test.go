@@ -365,23 +365,26 @@ func TestRemoteRetriesExhausted(t *testing.T) {
 // server, the cooldown admits one half-open probe, and a probe success
 // closes it again. A failed probe reopens it.
 func TestRemoteBreakerLifecycle(t *testing.T) {
-	tr := &scriptedTransport{steps: []step{
-		{status: 500}, {status: 500}, // failure run -> breaker opens
-		{status: 500},                    // failed half-open probe -> reopens
-		{status: 200, content: "healed"}, // second probe succeeds -> closes
-	}}
+	var steps []step
+	for i := 0; i < breakerThreshold; i++ {
+		steps = append(steps, step{status: 500}) // failure run -> breaker opens
+	}
+	steps = append(steps,
+		step{status: 500},                    // failed half-open probe -> reopens
+		step{status: 200, content: "healed"}, // second probe succeeds -> closes
+	)
+	tr := &scriptedTransport{steps: steps}
 	sim := llm.NewSim()
 	r, clk, ctrs := newTestRemote(t, tr, func(c *RemoteConfig) {
 		c.MaxRetries = -1 // no retries: isolate the breaker from the retry loop
-		c.BreakerThreshold = 2
-		c.BreakerCooldown = 10 * time.Second
 		c.Fallback = llm.NewSim()
 		c.CacheSize = -1 // disable the cache so every call exercises the breaker
 	})
 	ctx := context.Background()
 
-	// Two failures open the breaker; both degrade to sim.
-	for i := 0; i < 2; i++ {
+	// A failure run of breakerThreshold opens the breaker; every call of
+	// it degrades to sim.
+	for i := 0; i < breakerThreshold; i++ {
 		out, err := r.Complete(ctx, simPrompt)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
@@ -405,7 +408,7 @@ func TestRemoteBreakerLifecycle(t *testing.T) {
 
 	// Cooldown elapses: the next call is the half-open probe. It fails
 	// (scripted 500), so the breaker reopens.
-	clk.Advance(11 * time.Second)
+	clk.Advance(breakerCooldown + time.Second)
 	if _, err := r.Complete(ctx, simPrompt); err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +420,7 @@ func TestRemoteBreakerLifecycle(t *testing.T) {
 	}
 
 	// Second cooldown, second probe: succeeds and closes the breaker.
-	clk.Advance(11 * time.Second)
+	clk.Advance(breakerCooldown + time.Second)
 	out, err := r.Complete(ctx, simPrompt)
 	if err != nil || out != "healed" {
 		t.Fatalf("recovery probe = %q, %v", out, err)
@@ -446,12 +449,13 @@ func TestRemoteBreakerOpenNoFallback(t *testing.T) {
 	tr := &scriptedTransport{steps: []step{{status: 500}}}
 	r, _, _ := newTestRemote(t, tr, func(c *RemoteConfig) {
 		c.MaxRetries = -1
-		c.BreakerThreshold = 1
 		c.CacheSize = -1
 	})
 	ctx := context.Background()
-	if _, err := r.Complete(ctx, "q"); err == nil {
-		t.Fatal("first call succeeded, want upstream 500")
+	for i := 0; i < breakerThreshold; i++ {
+		if _, err := r.Complete(ctx, "q"); err == nil || errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("call %d = %v, want the upstream 500", i, err)
+		}
 	}
 	_, err := r.Complete(ctx, "q")
 	if !errors.Is(err, ErrBreakerOpen) {

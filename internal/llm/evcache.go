@@ -11,8 +11,8 @@ import (
 // KNOWLEDGE section (a few KB each).
 const evidenceCacheCap = 128
 
-// Evidence-cache counters, process-wide across every Sim so
-// Manager.Stats() and GET /v1/stats can report one number per process.
+// Evidence-cache counters, process-wide across every Sim so GET
+// /v1/stats can report one number per process.
 var (
 	evCacheHits   atomic.Int64
 	evCacheMisses atomic.Int64

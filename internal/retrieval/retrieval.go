@@ -59,8 +59,8 @@ func Workers(n int) int {
 	return w
 }
 
-// Process-wide pipeline counters, surfaced through Manager.Stats() and
-// GET /v1/stats like the evidence/knowledge cache counters.
+// Process-wide pipeline counters, surfaced through GET /v1/stats like
+// the evidence/knowledge cache counters.
 var counters struct {
 	rounds           atomic.Int64
 	searches         atomic.Int64

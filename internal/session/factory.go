@@ -14,10 +14,11 @@
 //   - Manager: owns sessions by ID with a full lifecycle (Create → Train →
 //     Ask/Learn/Plan/Report → Snapshot → Close), bounded capacity with
 //     LRU eviction of idle sessions, and snapshot/restore of
-//     memory+events+config to disk. Session IDs are hashed over
-//     independent lock shards, restores are singleflighted, and eviction
-//     snapshots drain through a background writer pool, so operations on
-//     unrelated sessions never wait on one another's locks or I/O.
+//     memory+events+config to disk. One lock guards the session table
+//     and nothing that blocks runs under it: restores are
+//     singleflighted, agent stacks are built off the lock, and eviction
+//     snapshots drain through a background writer pool, so operations
+//     on unrelated sessions never wait on one another's I/O.
 //   - Handler: the HTTP JSON API that turns websimd into a multi-user
 //     agent service.
 package session

@@ -14,10 +14,12 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/evalcache"
 	"repro/internal/llm"
 	"repro/internal/llm/backend"
 	"repro/internal/memory"
 	"repro/internal/metrics"
+	"repro/internal/retrieval"
 	"repro/internal/stream"
 )
 
@@ -407,12 +409,14 @@ func Handler(m *Manager, exts ...Extension) http.Handler {
 	handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", metrics.ContentType)
 		reg.WriteProm(w)
-		st := m.Stats()
+		blocks := StatsBlocks(m, exts...)
+		caches := blocks["caches"].(CachesStats)
+		be := blocks["backend"].(backend.Stats)
 		fmt.Fprintf(w, "# HELP repro_cache_hit_ratio Hit ratio of the ask-hot-path caches.\n# TYPE repro_cache_hit_ratio gauge\n")
-		fmt.Fprintf(w, "repro_cache_hit_ratio{cache=\"evidence\"} %s\n", ratio(st.EvidenceCache.Hits, st.EvidenceCache.Misses))
-		fmt.Fprintf(w, "repro_cache_hit_ratio{cache=\"knowledge\"} %s\n", ratio(st.KnowledgeCache.Hits, st.KnowledgeCache.Misses))
-		fmt.Fprintf(w, "repro_cache_hit_ratio{cache=\"llm_response\"} %s\n", ratio(st.Backend.CacheHits, st.Backend.Requests))
-		metrics.WriteStats(w, "repro_stats", StatsBlocks(m, exts...))
+		fmt.Fprintf(w, "repro_cache_hit_ratio{cache=\"evidence\"} %s\n", ratio(caches.Evidence.Hits, caches.Evidence.Misses))
+		fmt.Fprintf(w, "repro_cache_hit_ratio{cache=\"knowledge\"} %s\n", ratio(caches.Knowledge.Hits, caches.Knowledge.Misses))
+		fmt.Fprintf(w, "repro_cache_hit_ratio{cache=\"llm_response\"} %s\n", ratio(be.CacheHits, be.Requests))
+		metrics.WriteStats(w, "repro_stats", blocks)
 	})
 
 	for _, ext := range exts {
@@ -420,20 +424,6 @@ func Handler(m *Manager, exts ...Extension) http.Handler {
 	}
 
 	return mux
-}
-
-// SessionsStats is the `sessions` block of GET /v1/stats: the manager's
-// session-lifecycle counters.
-type SessionsStats struct {
-	Live           int   `json:"live"`             // committed live sessions
-	Restores       int64 `json:"restores"`         // sessions rebuilt from a snapshot file
-	DiskRestores   int64 `json:"disk_restores"`    // snapshot files read by a restore
-	Evictions      int64 `json:"evictions"`        // sessions evicted to make room
-	AsyncWrites    int64 `json:"async_writes"`     // eviction snapshots queued to the writer pool
-	SyncWriteFalls int64 `json:"sync_write_falls"` // eviction snapshots written inline (pool full or closed)
-	WriteErrors    int64 `json:"write_errors"`     // eviction snapshot writes that failed, one per attempt
-	InFlight       int   `json:"inflight_ops"`     // agent operations currently holding an admission slot
-	MaxInFlight    int   `json:"max_inflight"`     // admission gate size (0 = unlimited)
 }
 
 // CachesStats is the `caches` block of GET /v1/stats: the process-wide
@@ -448,30 +438,19 @@ type CachesStats struct {
 // order, so the wire shape is deterministic. The schema (documented in
 // API.md) is:
 //
-//	sessions         SessionsStats — manager lifecycle counters
+//	sessions         ManagerStats — manager lifecycle counters
 //	backend          backend.Stats — process-wide LLM backend counters
 //	caches           CachesStats — evidence + knowledge cache hit/miss
 //	memory_segments  evalcache.SegmentCacheStats — interned segment table
 //	retrieval        retrieval.Stats — parallel retrieval pipeline
 //	<extension>      one block per mounted Extension (e.g. incidents)
 func StatsBlocks(m *Manager, exts ...Extension) map[string]any {
-	st := m.Stats()
 	body := map[string]any{
-		"sessions": SessionsStats{
-			Live:           st.Live,
-			Restores:       st.Restores,
-			DiskRestores:   st.DiskRestores,
-			Evictions:      st.Evictions,
-			AsyncWrites:    st.AsyncWrites,
-			SyncWriteFalls: st.SyncWriteFalls,
-			WriteErrors:    st.WriteErrors,
-			InFlight:       st.InFlight,
-			MaxInFlight:    st.MaxInFlight,
-		},
-		"backend":         st.Backend,
-		"caches":          CachesStats{Evidence: st.EvidenceCache, Knowledge: st.KnowledgeCache},
-		"memory_segments": st.MemorySegments,
-		"retrieval":       st.Retrieval,
+		"sessions":        m.Stats(),
+		"backend":         backend.Snapshot(),
+		"caches":          CachesStats{Evidence: llm.EvidenceCacheStats(), Knowledge: memory.KnowledgeCacheStats()},
+		"memory_segments": evalcache.SegmentStats(),
+		"retrieval":       retrieval.Snapshot(),
 	}
 	for _, ext := range exts {
 		if name, v := ext.StatsBlock(); name != "" {

@@ -8,33 +8,25 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/evalcache"
-	"repro/internal/llm"
-	"repro/internal/llm/backend"
 	"repro/internal/memory"
 	"repro/internal/parallel"
 	"repro/internal/persist"
-	"repro/internal/retrieval"
 	"repro/internal/stream"
 )
 
 // ManagerConfig configures a Manager.
 type ManagerConfig struct {
-	// Capacity bounds live sessions across all shards (default 64).
-	// Creating or restoring past it evicts the least-recently-used idle
-	// session — snapshotted to disk first when SnapshotDir is set, so it
-	// can be restored transparently on the next Get.
+	// Capacity bounds live sessions (default 64). Creating or restoring
+	// past it evicts the least-recently-used idle session — snapshotted
+	// to disk first when SnapshotDir is set, so it can be restored
+	// transparently on the next Get.
 	Capacity int
-	// Shards is the number of independent lock domains session IDs are
-	// hashed over (FNV-1a). More shards means create/get/evict on
-	// unrelated sessions contend less. Default min(GOMAXPROCS, 16).
-	Shards int
 	// SnapshotDir, when set, enables snapshot/restore: Snapshot writes
 	// <dir>/<id>.json, evictions persist state there, and Get lazily
 	// restores evicted or previously snapshotted sessions from it.
@@ -57,21 +49,15 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.Capacity <= 0 {
 		c.Capacity = 64
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.Shards > 16 {
-			c.Shards = 16
-		}
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
 	return c
 }
 
-// entry is one slot in a shard's session table. A just-published slot is
+// entry is one slot in the session table. A just-published slot is
 // pending (s == nil, ready open) while its owner builds or restores the
-// agent stack outside the shard lock; concurrent lookups of the same ID
+// agent stack outside the table lock; concurrent lookups of the same ID
 // wait on ready instead of repeating the work (singleflight). The owner
 // either commits a live session or aborts with an error that every
 // waiter shares.
@@ -81,66 +67,50 @@ type entry struct {
 	ready chan struct{}
 }
 
-// shard is one lock domain: a mutex and the session table it guards.
-// Nothing that blocks — disk I/O, JSON codec work, agent construction —
-// ever runs while a shard mutex is held, with one deliberate exception:
-// evictOne deep-copies the victim's state (snapshotLocked, no codec or
-// I/O) under the lock so the session is staged as pending before it is
-// unpublished and can never be observed as missing.
-type shard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-}
+// flushStripes is the number of flush locks. A flush lock orders the
+// disk writes of the IDs hashed onto it; it never guards a lookup.
+const flushStripes = 16
 
-// ManagerStats counts runtime events for capacity planning — the
-// in-process aggregate StatsBlocks reshapes into the namespaced GET
-// /v1/stats body. Backend aggregates the process-wide LLM backend
-// counters (remote requests, retries, breaker opens, cache hits,
-// fallback completions) next to the session-lifecycle counts.
+// writeQueue bounds the eviction writes waiting for the writer pool. An
+// eviction that finds it full writes inline; ask-churn, which evicts on
+// nearly every ask, never fills it (sync_write_falls reads 0).
+const writeQueue = 64
+
+// ManagerStats counts the manager's session-lifecycle events for
+// capacity planning. It is the `sessions` block of GET /v1/stats.
 type ManagerStats struct {
-	Live           int           `json:"live"`             // committed live sessions
-	Restores       int64         `json:"restores"`         // sessions rebuilt from a snapshot file
-	DiskRestores   int64         `json:"disk_restores"`    // snapshot files read by a restore
-	Evictions      int64         `json:"evictions"`        // sessions evicted to make room
-	AsyncWrites    int64         `json:"async_writes"`     // eviction snapshots queued to the writer pool
-	SyncWriteFalls int64         `json:"sync_write_falls"` // eviction snapshots written inline (pool full or closed)
-	WriteErrors    int64         `json:"write_errors"`     // eviction snapshot writes that failed, one per attempt
-	InFlight       int           `json:"inflight_ops"`     // agent operations currently holding an admission slot
-	MaxInFlight    int           `json:"max_inflight"`     // admission gate size (0 = unlimited)
-	Backend        backend.Stats `json:"backend"`          // process-wide LLM backend counters
-
-	// Ask-hot-path cache counters, process-wide like Backend: the sim
-	// evidence LRU and the memory knowledge-text (retrieval) cache.
-	EvidenceCache  llm.CacheStats    `json:"evidence_cache"`
-	KnowledgeCache memory.CacheStats `json:"knowledge_cache"`
-
-	// MemorySegments is the process-wide interned memory-segment table:
-	// how many distinct trained-knowledge segments are resident, how many
-	// items and estimated bytes they hold (counted once each, however
-	// many sessions share them), and total attached-store refcounts.
-	MemorySegments evalcache.SegmentCacheStats `json:"memory_segments"`
-
-	// Retrieval is the process-wide parallel retrieval pipeline:
-	// search/fetch totals and live in-flight gauges, plus the
-	// cross-query URL dedup savings.
-	Retrieval retrieval.Stats `json:"retrieval"`
+	Live           int   `json:"live"`             // committed live sessions
+	Restores       int64 `json:"restores"`         // sessions rebuilt from a snapshot file
+	DiskRestores   int64 `json:"disk_restores"`    // snapshot files read by a restore
+	Evictions      int64 `json:"evictions"`        // sessions evicted to make room
+	AsyncWrites    int64 `json:"async_writes"`     // eviction snapshots queued to the writer pool
+	SyncWriteFalls int64 `json:"sync_write_falls"` // eviction snapshots written inline (pool full or closed)
+	WriteErrors    int64 `json:"write_errors"`     // eviction snapshot writes that failed, one per attempt
+	InFlight       int   `json:"inflight_ops"`     // agent operations currently holding an admission slot
+	MaxInFlight    int   `json:"max_inflight"`     // admission gate size (0 = unlimited)
 }
 
 // Manager owns named, long-lived agent sessions: the runtime every
-// front-end (CLI, repl, HTTP daemon, eval harness) builds on. Session
-// IDs are hashed over independent shards so hot multi-tenant traffic
-// does not serialize on one lock, capacity is accounted globally, and
-// all blocking work (snapshot I/O, agent construction) runs off the
-// shard locks.
+// front-end (CLI, repl, HTTP daemon, eval harness) builds on. One mutex
+// guards the session table, and all blocking work (snapshot I/O, agent
+// construction) runs off it.
 type Manager struct {
-	cfg    ManagerConfig
-	shards []*shard
+	cfg ManagerConfig
+
+	// mu guards sessions and seq. Nothing that blocks — disk I/O, JSON
+	// codec work, agent construction — ever runs while it is held, with
+	// one deliberate exception: evictOne deep-copies the victim's state
+	// (snapshotLocked, no codec or I/O) under it, so the session is
+	// staged as pending before it is unpublished and can never be
+	// observed as missing.
+	mu       sync.Mutex
+	sessions map[string]*entry
+	seq      int // generated-ID sequence
 
 	// gate is the admission semaphore when MaxInFlight > 0 (nil
 	// otherwise): one slot per concurrently executing agent operation.
 	gate chan struct{}
 
-	seq  atomic.Int64 // generated-ID sequence
 	live atomic.Int64 // committed sessions + in-flight reservations
 	use  atomic.Int64 // global LRU clock
 	now  func() time.Time
@@ -152,7 +122,7 @@ type Manager struct {
 	// write lands; it orders writes and restores, and never serves a
 	// session.
 	writer    *parallel.Pool
-	flushMu   []sync.Mutex
+	flushMu   [flushStripes]sync.Mutex
 	pending   sync.Map // id -> *Snapshot
 	mkdirOnce sync.Once
 	mkdirErr  error
@@ -177,19 +147,15 @@ type Manager struct {
 func NewManager(cfg ManagerConfig) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:     cfg,
-		shards:  make([]*shard, cfg.Shards),
-		flushMu: make([]sync.Mutex, cfg.Shards),
-		now:     time.Now,
-	}
-	for i := range m.shards {
-		m.shards[i] = &shard{entries: map[string]*entry{}}
+		cfg:      cfg,
+		sessions: map[string]*entry{},
+		now:      time.Now,
 	}
 	if cfg.MaxInFlight > 0 {
 		m.gate = make(chan struct{}, cfg.MaxInFlight)
 	}
 	if cfg.SnapshotDir != "" {
-		m.writer = parallel.NewPool(2, 4*cfg.Shards)
+		m.writer = parallel.NewPool(2, writeQueue)
 	}
 	return m
 }
@@ -238,26 +204,17 @@ func (m *Manager) Stats() ManagerStats {
 		AsyncWrites:    m.stats.asyncWrites.Load(),
 		SyncWriteFalls: m.stats.syncFalls.Load(),
 		WriteErrors:    m.stats.writeErrors.Load(),
-		Backend:        backend.Snapshot(),
-		EvidenceCache:  llm.EvidenceCacheStats(),
-		KnowledgeCache: memory.KnowledgeCacheStats(),
-		MemorySegments: evalcache.SegmentStats(),
-		Retrieval:      retrieval.Snapshot(),
 	}
 }
 
-// shard hashes id with FNV-1a onto its lock domain.
-func (m *Manager) shard(id string) *shard {
-	return m.shards[m.stripe(id)]
-}
-
-func (m *Manager) stripe(id string) uint32 {
+// stripe hashes id with FNV-1a onto its flush lock.
+func stripe(id string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(id); i++ {
 		h ^= uint32(id[i])
 		h *= 16777619
 	}
-	return h % uint32(len(m.shards))
+	return h % flushStripes
 }
 
 // validID reports whether id is safe as a session name (and snapshot
@@ -282,47 +239,37 @@ func validID(id string) bool {
 // agent-stack construction runs outside every lock; a placeholder entry
 // reserves the ID so concurrent creates and gets see it immediately.
 func (m *Manager) Create(id string, cfg Config) (*Session, error) {
-	var (
-		sh *shard
-		e  = &entry{ready: make(chan struct{})}
-	)
+	if id != "" && !validID(id) {
+		return nil, fmt.Errorf("%w %q (want 1-64 of [A-Za-z0-9_-])", ErrInvalidID, id)
+	}
+	e := &entry{ready: make(chan struct{})}
+	m.mu.Lock()
 	if id == "" {
 		// Claim the next free generated ID, skipping any the user took.
 		for {
-			id = fmt.Sprintf("s%04d", m.seq.Add(1))
-			sh = m.shard(id)
-			sh.mu.Lock()
-			if _, taken := sh.entries[id]; !taken {
-				sh.entries[id] = e
-				sh.mu.Unlock()
+			m.seq++
+			id = fmt.Sprintf("s%04d", m.seq)
+			if _, taken := m.sessions[id]; !taken {
 				break
 			}
-			sh.mu.Unlock()
 		}
-	} else {
-		if !validID(id) {
-			return nil, fmt.Errorf("%w %q (want 1-64 of [A-Za-z0-9_-])", ErrInvalidID, id)
-		}
-		sh = m.shard(id)
-		sh.mu.Lock()
-		if _, taken := sh.entries[id]; taken {
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s", ErrExists, id)
-		}
-		sh.entries[id] = e
-		sh.mu.Unlock()
+	} else if _, taken := m.sessions[id]; taken {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s", ErrExists, id)
 	}
+	m.sessions[id] = e
+	m.mu.Unlock()
 	if err := m.reserve(); err != nil {
-		m.abort(sh, id, e, err)
+		m.abort(id, e, err)
 		return nil, err
 	}
 	s, err := newSession(id, cfg, nil, &m.use, m.now)
 	if err != nil {
 		m.unreserve()
-		m.abort(sh, id, e, err)
+		m.abort(id, e, err)
 		return nil, err
 	}
-	m.commit(sh, e, s)
+	m.commit(e, s)
 	return s, nil
 }
 
@@ -333,16 +280,15 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 // Concurrent Gets of the same evicted ID share one restore; Gets of
 // other IDs never wait on it.
 func (m *Manager) Get(id string) (*Session, error) {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	if e, ok := sh.entries[id]; ok {
+	m.mu.Lock()
+	if e, ok := m.sessions[id]; ok {
 		// Committed entries resolve under the lock we already hold —
 		// no channel hop on the hot lookup path.
 		if s := e.s; s != nil {
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			return s, nil
 		}
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
 			return nil, e.err
@@ -350,19 +296,19 @@ func (m *Manager) Get(id string) (*Session, error) {
 		return e.s, nil
 	}
 	if m.cfg.SnapshotDir == "" || !validID(id) {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	e := &entry{ready: make(chan struct{})}
-	sh.entries[id] = e
-	sh.mu.Unlock()
+	m.sessions[id] = e
+	m.mu.Unlock()
 
 	s, err := m.restore(id)
 	if err != nil {
-		m.abort(sh, id, e, err)
+		m.abort(id, e, err)
 		return nil, err
 	}
-	m.commit(sh, e, s)
+	m.commit(e, s)
 	return s, nil
 }
 
@@ -400,20 +346,20 @@ func (m *Manager) restore(id string) (*Session, error) {
 }
 
 // commit publishes a built session under its placeholder entry.
-func (m *Manager) commit(sh *shard, e *entry, s *Session) {
-	sh.mu.Lock()
+func (m *Manager) commit(e *entry, s *Session) {
+	m.mu.Lock()
 	e.s = s
 	close(e.ready)
-	sh.mu.Unlock()
+	m.mu.Unlock()
 }
 
 // abort withdraws a placeholder entry, sharing err with every waiter.
-func (m *Manager) abort(sh *shard, id string, e *entry, err error) {
-	sh.mu.Lock()
-	delete(sh.entries, id)
+func (m *Manager) abort(id string, e *entry, err error) {
+	m.mu.Lock()
+	delete(m.sessions, id)
 	e.err = err
 	close(e.ready)
-	sh.mu.Unlock()
+	m.mu.Unlock()
 }
 
 // reserve claims one slot of global capacity, evicting the globally
@@ -433,71 +379,53 @@ func (m *Manager) reserve() error {
 
 func (m *Manager) unreserve() { m.live.Add(-1) }
 
-// evictOne removes the least-recently-used idle session across all
-// shards and queues the write of its snapshot. It fails with ErrBusy
-// when every live session is mid-operation.
+// evictOne removes the least-recently-used idle session and queues the
+// write of its snapshot. It fails with ErrBusy when every live session
+// is mid-operation. The pass runs under the table lock, so no racing
+// evictor or Close can unpublish a candidate it has chosen.
 func (m *Manager) evictOne() error {
-	for {
-		// A concurrent Close may already have freed the slot we need.
-		if m.live.Load() <= int64(m.cfg.Capacity) {
-			return nil
-		}
-		// Collect candidates shard by shard — no stop-the-world.
-		var cands []*Session
-		for _, sh := range m.shards {
-			sh.mu.Lock()
-			for _, e := range sh.entries {
-				if e.s != nil {
-					cands = append(cands, e.s)
-				}
-			}
-			sh.mu.Unlock()
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].lru() < cands[j].lru() })
-		stolen := false
-		for _, v := range cands {
-			sh := m.shard(v.id)
-			sh.mu.Lock()
-			e, ok := sh.entries[v.id]
-			if !ok || e.s != v {
-				sh.mu.Unlock()
-				stolen = true
-				continue // claimed by a racing evictor or closer
-			}
-			if !v.tryAcquire() {
-				sh.mu.Unlock()
-				continue // mid-operation: not evictable
-			}
-			// Capture state and stage it as pending *before* unpublishing,
-			// so a Get that finds the ID missing from the table always
-			// finds its pending write, and lands it before reading the
-			// file. The deep copy in snapshotLocked is the one deliberate
-			// exception to the no-heavy-work-under-shard-locks rule:
-			// staging after unpublishing would open a window where the
-			// session is in neither place and a racing Get reads a stale
-			// disk file.
-			staged := m.cfg.SnapshotDir != ""
-			if staged {
-				snap := v.snapshotLocked()
-				m.pending.Store(v.id, &snap)
-			}
-			delete(sh.entries, v.id)
-			sh.mu.Unlock()
-			v.markClosed()
-			v.release()
-			m.unreserve()
-			m.stats.evictions.Add(1)
-			if staged {
-				m.queueWrite(v.id)
-			}
-			return nil
-		}
-		if !stolen {
-			return ErrBusy
-		}
-		// Every candidate we saw was taken by a concurrent evictor —
-		// other creates are committing, so rescan for their sessions.
+	m.mu.Lock()
+	// A concurrent Close may already have freed the slot we need.
+	if m.live.Load() <= int64(m.cfg.Capacity) {
+		m.mu.Unlock()
+		return nil
 	}
+	cands := make([]*Session, 0, len(m.sessions))
+	for _, e := range m.sessions {
+		if e.s != nil {
+			cands = append(cands, e.s)
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].lru() < cands[j].lru() })
+	for _, v := range cands {
+		if !v.tryAcquire() {
+			continue // mid-operation: not evictable
+		}
+		// Capture state and stage it as pending *before* unpublishing,
+		// so a Get that finds the ID missing from the table always finds
+		// its pending write, and lands it before reading the file. The
+		// deep copy in snapshotLocked is the one deliberate exception to
+		// the no-heavy-work-under-the-table-lock rule: staging after
+		// unpublishing would open a window where the session is in
+		// neither place and a racing Get reads a stale disk file.
+		staged := m.cfg.SnapshotDir != ""
+		if staged {
+			snap := v.snapshotLocked()
+			m.pending.Store(v.id, &snap)
+		}
+		delete(m.sessions, v.id)
+		m.mu.Unlock()
+		v.markClosed()
+		v.release()
+		m.unreserve()
+		m.stats.evictions.Add(1)
+		if staged {
+			m.queueWrite(v.id)
+		}
+		return nil
+	}
+	m.mu.Unlock()
+	return ErrBusy
 }
 
 // queueWrite hands the write of id's pending snapshot to the writer
@@ -527,7 +455,7 @@ func (m *Manager) flushPending(id string) error {
 	if _, ok := m.pending.Load(id); !ok {
 		return nil
 	}
-	mu := &m.flushMu[m.stripe(id)]
+	mu := &m.flushMu[stripe(id)]
 	mu.Lock()
 	defer mu.Unlock()
 	v, ok := m.pending.Load(id)
@@ -570,19 +498,17 @@ func (m *Manager) Shutdown() {
 	m.Flush()
 }
 
-// List returns a status per live session, ordered by ID. Shards are
-// visited one at a time — a listing never freezes the whole runtime.
+// List returns a status per live session, ordered by ID. The statuses
+// are read after the table lock is released.
 func (m *Manager) List() []Status {
 	var sessions []*Session
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.s != nil {
-				sessions = append(sessions, e.s)
-			}
+	m.mu.Lock()
+	for _, e := range m.sessions {
+		if e.s != nil {
+			sessions = append(sessions, e.s)
 		}
-		sh.mu.Unlock()
 	}
+	m.mu.Unlock()
 	out := make([]Status, len(sessions))
 	for i, s := range sessions {
 		out[i] = s.Status()
@@ -593,15 +519,13 @@ func (m *Manager) List() []Status {
 
 // Len returns the number of live sessions.
 func (m *Manager) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	n := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.s != nil {
-				n++
-			}
+	for _, e := range m.sessions {
+		if e.s != nil {
+			n++
 		}
-		sh.mu.Unlock()
 	}
 	return n
 }
@@ -619,10 +543,9 @@ func (m *Manager) Snapshot(ctx context.Context, id string) (string, error) {
 	if !validID(id) {
 		return "", fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	sh := m.shard(id)
-	sh.mu.Lock()
-	e, live := sh.entries[id]
-	sh.mu.Unlock()
+	m.mu.Lock()
+	e, live := m.sessions[id]
+	m.mu.Unlock()
 	if live {
 		<-e.ready
 		// A failed create or restore, or a session that an eviction or
@@ -664,10 +587,9 @@ func (m *Manager) persisted(id string) (string, error) {
 // directory, the final state is persisted first so the session can be
 // restored later.
 func (m *Manager) Close(ctx context.Context, id string, discard bool) error {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	e, ok := sh.entries[id]
-	sh.mu.Unlock()
+	m.mu.Lock()
+	e, ok := m.sessions[id]
+	m.mu.Unlock()
 	if ok {
 		<-e.ready
 	}
@@ -690,11 +612,11 @@ func (m *Manager) Close(ctx context.Context, id string, discard bool) error {
 	}
 	s.markClosed()
 	s.release()
-	sh.mu.Lock()
-	if cur, still := sh.entries[id]; still && cur == e {
-		delete(sh.entries, id)
+	m.mu.Lock()
+	if cur, still := m.sessions[id]; still && cur == e {
+		delete(m.sessions, id)
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	m.unreserve()
 	if discard && m.cfg.SnapshotDir != "" {
 		m.discardSnapshot(id)
@@ -726,7 +648,7 @@ func (m *Manager) closeNotLive(id string, discard bool) error {
 // the on-disk file, under the stripe flush lock so a write in flight
 // cannot resurrect either. It reports whether either existed.
 func (m *Manager) discardSnapshot(id string) (bool, error) {
-	mu := &m.flushMu[m.stripe(id)]
+	mu := &m.flushMu[stripe(id)]
 	mu.Lock()
 	defer mu.Unlock()
 	_, found := m.pending.LoadAndDelete(id)
@@ -814,7 +736,7 @@ func (m *Manager) resolveSegment(ref SegmentRef) (*memory.Segment, error) {
 // writeSnapshot persists s atomically. The caller holds the session's
 // operation lock.
 func (m *Manager) writeSnapshot(s *Session) (string, error) {
-	mu := &m.flushMu[m.stripe(s.id)]
+	mu := &m.flushMu[stripe(s.id)]
 	mu.Lock()
 	defer mu.Unlock()
 	return m.writeSnapshotData(s.id, s.snapshotLocked())

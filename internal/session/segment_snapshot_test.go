@@ -413,7 +413,8 @@ func FuzzReadSnapshot(f *testing.F) {
 }
 
 // TestStatsReportSegments covers the observability half of the tier:
-// Manager.Stats() exposes the interned-segment table, and closing a
+// evalcache.SegmentStats() (the memory_segments block of GET /v1/stats)
+// reports the interned-segment table, and closing a
 // session drops its segment refs exactly once (markClosed is idempotent
 // under the eviction/delete race).
 func TestStatsReportSegments(t *testing.T) {
@@ -428,7 +429,7 @@ func TestStatsReportSegments(t *testing.T) {
 	if _, err := s.Train(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats().MemorySegments
+	st := evalcache.SegmentStats()
 	if st.Segments < 1 || st.Items == 0 || st.ResidentBytes <= 0 {
 		t.Fatalf("stats after train: %+v", st)
 	}
@@ -445,7 +446,7 @@ func TestStatsReportSegments(t *testing.T) {
 	if _, err := s2.Train(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st2 := m.Stats().MemorySegments
+	st2 := evalcache.SegmentStats()
 	if st2.Segments != st.Segments || st2.ResidentBytes != st.ResidentBytes {
 		t.Errorf("second identical training grew residency: %+v -> %+v", st, st2)
 	}
@@ -461,7 +462,7 @@ func TestStatsReportSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.markClosed()
-	if got := m.Stats().MemorySegments.Refs; got != refsBefore {
+	if got := evalcache.SegmentStats().Refs; got != refsBefore {
 		t.Errorf("refs after close = %d, want %d", got, refsBefore)
 	}
 }

@@ -146,7 +146,7 @@ func TestConcurrentRestoreSingleflight(t *testing.T) {
 
 // TestUnrelatedGetNotBlockedBySlowRestore parks one session's restore
 // and proves that Gets and Creates of other sessions complete while it
-// is stuck — the head-of-line blocking the sharded runtime removes.
+// is stuck: restore work runs off the table lock.
 func TestUnrelatedGetNotBlockedBySlowRestore(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -205,27 +205,18 @@ func TestUnrelatedGetNotBlockedBySlowRestore(t *testing.T) {
 	}
 }
 
-// TestCrossShardCapacity fills a many-shard manager with IDs skewed onto
-// one shard and asserts that capacity is enforced globally, not per
-// shard, and that eviction still picks the global LRU among idle
-// sessions.
-func TestCrossShardCapacity(t *testing.T) {
+// TestCapacityIsGlobalUnderConcurrentCreates asserts that eviction picks
+// the global LRU among idle sessions, that concurrent creates never push
+// the live count past capacity, and that with no session busy every
+// create past capacity evicts exactly one session.
+func TestCapacityIsGlobalUnderConcurrentCreates(t *testing.T) {
+	const capacity = 4
 	dir := t.TempDir()
-	m := newTestManager(t, ManagerConfig{Capacity: 4, Shards: 8, SnapshotDir: dir})
+	m := newTestManager(t, ManagerConfig{Capacity: capacity, SnapshotDir: dir})
 
-	// IDs that all hash onto shard 0 — the worst skew possible.
-	var skewed []string
-	for i := 0; len(skewed) < 30; i++ {
-		id := fmt.Sprintf("skew-%04d", i)
-		if m.stripe(id) == 0 {
-			skewed = append(skewed, id)
-		}
-	}
-
-	// Deterministic part: global LRU order decides the victim even when
-	// sessions live on different shards.
-	spread := []string{"a", "b", "c", "d"}
-	for _, id := range spread {
+	// Deterministic part: global LRU order decides the victim.
+	first := []string{"a", "b", "c", "d"}
+	for _, id := range first {
 		if _, err := m.Create(id, Config{Seed: 42}); err != nil {
 			t.Fatal(err)
 		}
@@ -238,50 +229,57 @@ func TestCrossShardCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.release() // bump a's LRU clock: b is now the global LRU
-	if _, err := m.Create(skewed[0], Config{Seed: 42}); err != nil {
+	if _, err := m.Create("e", Config{Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
 	ids := []string{}
 	for _, st := range m.List() {
 		ids = append(ids, st.ID)
 	}
-	want := fmt.Sprintf("[a c d %s]", skewed[0])
-	if fmt.Sprint(ids) != want {
-		t.Errorf("live after skewed create = %v, want %s", ids, want)
+	if fmt.Sprint(ids) != "[a c d e]" {
+		t.Errorf("live after create past capacity = %v, want [a c d e]", ids)
 	}
 
-	// Concurrent part: hammer creates of same-shard IDs from several
-	// goroutines; the live count must never exceed the global capacity.
-	var wg sync.WaitGroup
-	var violated error
-	var mu sync.Mutex
-	per := (len(skewed) - 1) / 3
+	// Concurrent part: hammer creates from several goroutines; the live
+	// count must never exceed the capacity.
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		violated error
+		created  = len(first) + 1
+	)
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
-		go func(ids []string) {
+		go func(g int) {
 			defer wg.Done()
-			for _, id := range ids {
-				if _, err := m.Create(id, Config{Seed: 42}); err != nil && !errors.Is(err, ErrBusy) {
-					mu.Lock()
+			for i := 0; i < 9; i++ {
+				_, err := m.Create(fmt.Sprintf("c%d-%02d", g, i), Config{Seed: 42})
+				n := m.Len()
+				mu.Lock()
+				switch {
+				case err == nil:
+					created++
+				case !errors.Is(err, ErrBusy):
 					violated = err
-					mu.Unlock()
-					return
 				}
-				if n := m.Len(); n > 4 {
-					mu.Lock()
-					violated = fmt.Errorf("live sessions = %d, capacity 4", n)
-					mu.Unlock()
-					return
+				if n > capacity {
+					violated = fmt.Errorf("live sessions = %d, capacity %d", n, capacity)
 				}
+				mu.Unlock()
 			}
-		}(skewed[1+g*per : 1+(g+1)*per])
+		}(g)
 	}
 	wg.Wait()
 	if violated != nil {
 		t.Fatal(violated)
 	}
-	if n := m.Len(); n > 4 {
-		t.Errorf("final live sessions = %d, capacity 4", n)
+	// No session was busy, so each create past capacity evicted exactly
+	// one session: none more, none fewer.
+	if got, want := m.Stats().Evictions, int64(created-capacity); got != want {
+		t.Errorf("evictions = %d after %d creates at capacity %d, want %d", got, created, capacity, want)
+	}
+	if n := m.Len(); n != capacity {
+		t.Errorf("final live sessions = %d, want %d", n, capacity)
 	}
 	// Every evicted session stayed restorable: flush the writer and
 	// check each non-live ID has its snapshot on disk.
@@ -290,7 +288,7 @@ func TestCrossShardCapacity(t *testing.T) {
 	for _, st := range m.List() {
 		live[st.ID] = true
 	}
-	for _, id := range append(spread, skewed[0]) {
+	for _, id := range append(first, "e") {
 		if live[id] {
 			continue
 		}
@@ -536,17 +534,5 @@ func TestEvictionAfterShutdownWritesInline(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "early.json")); err != nil {
 		t.Fatalf("post-Shutdown eviction snapshot not on disk: %v", err)
-	}
-}
-
-// TestShardDefaults pins the shard-count defaulting rule.
-func TestShardDefaults(t *testing.T) {
-	m := newTestManager(t, ManagerConfig{})
-	if got := m.Config().Shards; got < 1 || got > 16 {
-		t.Errorf("default shards = %d, want within [1,16]", got)
-	}
-	m2 := newTestManager(t, ManagerConfig{Shards: 3})
-	if got := m2.Config().Shards; got != 3 {
-		t.Errorf("explicit shards = %d, want 3", got)
 	}
 }

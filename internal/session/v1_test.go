@@ -191,7 +191,7 @@ func TestHTTPStats(t *testing.T) {
 		}
 	}
 
-	var sess SessionsStats
+	var sess ManagerStats
 	if err := json.Unmarshal(raw["sessions"], &sess); err != nil {
 		t.Fatal(err)
 	}

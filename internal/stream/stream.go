@@ -64,14 +64,7 @@ const (
 // session event buffer (0 until published); all other fields are set by
 // the producer and zero values are omitted on the wire.
 type Event struct {
-	ID int64 `json:"id,omitempty"`
-	// Incident scopes the event to an incident when the operation runs
-	// on behalf of the autonomous incident pipeline (internal/incident):
-	// the processor tees the session's step events into the incident's
-	// event log, stamped with the incident ID, so one SSE subscriber or
-	// log reader can tell which incident a step served. Empty for plain
-	// interactive sessions.
-	Incident   string   `json:"incident,omitempty"`
+	ID         int64    `json:"id,omitempty"`
 	Type       string   `json:"type"`
 	Step       int      `json:"step,omitempty"`
 	Round      int      `json:"round,omitempty"`
@@ -127,17 +120,5 @@ func Tee(obs ...Observer) Observer {
 		for _, o := range live {
 			o(e)
 		}
-	}
-}
-
-// Scoped returns an observer that stamps every event with the incident
-// ID before forwarding to next — the incident-scoped half of a Tee.
-func Scoped(incident string, next Observer) Observer {
-	if next == nil {
-		return nil
-	}
-	return func(e Event) {
-		e.Incident = incident
-		next(e)
 	}
 }

@@ -1,44 +1,38 @@
 package stream
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestNilObserverIsSafe: recording is optional — emitting through a nil
-// observer does nothing, and Tee and Scoped over no live observer stay
-// nil, so the un-observed path pays one nil check.
+// observer does nothing, and a Tee over no live observer stays nil, so
+// the un-observed path pays one nil check.
 func TestNilObserverIsSafe(t *testing.T) {
 	var o Observer
 	o.Emit(Event{Type: EventOp, Text: "ask"})
 	if Tee() != nil || Tee(nil, nil) != nil {
 		t.Error("Tee of no live observer is not nil")
 	}
-	if Scoped("inc-000001", nil) != nil {
-		t.Error("Scoped over a nil observer is not nil")
-	}
 }
 
-// TestTeeAndScoped: a Tee delivers every event to each live observer in
-// order, and only the Scoped branch sees the incident stamp.
-func TestTeeAndScoped(t *testing.T) {
-	var plain, scoped []Event
+// TestTee: a Tee delivers every event to each live observer in order,
+// unchanged, and skips nil observers.
+func TestTee(t *testing.T) {
+	var first, second []Event
 	o := Tee(
-		func(e Event) { plain = append(plain, e) },
+		func(e Event) { first = append(first, e) },
 		nil,
-		Scoped("inc-000001", func(e Event) { scoped = append(scoped, e) }),
+		func(e Event) { second = append(second, e) },
 	)
-	o.Emit(Event{Type: EventSearch, Query: "solar storm", Results: 2})
-	o.Emit(Event{Type: EventFetch, URL: "https://a.example/one", Query: "solar storm"})
-	if len(plain) != 2 || len(scoped) != 2 {
-		t.Fatalf("delivered %d plain and %d scoped events, want 2 each", len(plain), len(scoped))
+	want := []Event{
+		{Type: EventSearch, Query: "solar storm", Results: 2},
+		{Type: EventFetch, URL: "https://a.example/one", Query: "solar storm"},
 	}
-	for i := range plain {
-		if plain[i].Incident != "" || scoped[i].Incident != "inc-000001" {
-			t.Errorf("event %d: plain stamped %q, scoped stamped %q", i, plain[i].Incident, scoped[i].Incident)
-		}
-		if plain[i].Type != scoped[i].Type || plain[i].Query != scoped[i].Query {
-			t.Errorf("event %d differs between branches: %+v vs %+v", i, plain[i], scoped[i])
-		}
+	for _, e := range want {
+		o.Emit(e)
 	}
-	if plain[0].Type != EventSearch || plain[1].Type != EventFetch {
-		t.Errorf("events out of order: %+v", plain)
+	if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(second, want) {
+		t.Errorf("delivered\n%+v\nand\n%+v\nwant %+v to each, in order", first, second, want)
 	}
 }

@@ -70,7 +70,7 @@ run_listed -count=1 -run 'TestFootprintReport' .
 # reads the file. When the pool runs a write decides the interleaving,
 # and one pass of go test -race ./... rarely varies it, so these run
 # five times under the race detector.
-run_listed -race -count=5 -run 'TestCrossShardCapacity|TestConcurrentRestoreSingleflight|TestFlushBarrierLandsEvictionWrites|TestEvictionAfterShutdownWritesInline|TestRestoreAfterEvictionReadsLatestSnapshot|TestRestoreReserveFailureKeepsSnapshot|TestEvictionWriteFailureLosesNothing|TestCloseOfSessionClosedUnderLookup|TestHTTPDeleteDrainedSession' ./internal/session
+run_listed -race -count=5 -run 'TestCapacityIsGlobalUnderConcurrentCreates|TestConcurrentRestoreSingleflight|TestFlushBarrierLandsEvictionWrites|TestEvictionAfterShutdownWritesInline|TestRestoreAfterEvictionReadsLatestSnapshot|TestRestoreReserveFailureKeepsSnapshot|TestEvictionWriteFailureLosesNothing|TestCloseOfSessionClosedUnderLookup|TestHTTPDeleteDrainedSession' ./internal/session
 
 # The retrieval pipeline: byte-identity of memory/events/investigation at
 # every fan-out width, the cancel-mid-fetch drain (exactly-once context

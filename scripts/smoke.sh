@@ -38,9 +38,8 @@ go build -o "$WORK/websimd" ./cmd/websimd
 "$WORK/llmstub" -addr "$LLM_ADDR" -fail 2 \
   -slow-every 3 -slow-latency 300ms >"$WORK/llmstub.log" 2>&1 &
 PIDS+=($!)
-REPRO_LLM_ENDPOINT="http://$LLM_ADDR" \
+REPRO_LLM_ENDPOINT="http://$LLM_ADDR" REPRO_LLM_HEDGE=1 REPRO_LLM_HEDGE_DELAY=50ms \
   "$WORK/websimd" -addr "$API_ADDR" -model remote \
-  -llm-hedge -llm-hedge-delay 50ms \
   -incident-workers 2 >"$WORK/websimd.log" 2>&1 &
 PIDS+=($!)
 
@@ -321,8 +320,6 @@ expect_exit2() {
     exit 1
   fi
 }
-expect_exit2 "zero shards"          -shards 0
-expect_exit2 "negative shards"      -shards -3
 expect_exit2 "backends sans gateway" -backends 127.0.0.1:1
 expect_exit2 "gateway sans backends" -gateway
 expect_exit2 "duplicate backends"   -gateway -backends "127.0.0.1:1,127.0.0.1:1"
