@@ -71,9 +71,9 @@
 // -model picks the default LLM backend for new sessions (a per-session
 // "model" field in POST /v1/sessions overrides it). The remote backend
 // reads REPRO_LLM_ENDPOINT / REPRO_LLM_API_KEY / REPRO_LLM_MODEL and
-// sends one prompt per chat-completions request; REPRO_LLM_HEDGE and
-// REPRO_LLM_HEDGE_DELAY tune its tail-latency hedging. Backends started
-// by -gateway -spawn inherit all five from the gateway's environment.
+// sends one prompt per chat-completions request; REPRO_LLM_HEDGE_DELAY,
+// when set, hedges an attempt that outlives it. Backends started by
+// -gateway -spawn inherit all four from the gateway's environment.
 package main
 
 import (

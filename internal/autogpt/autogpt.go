@@ -14,7 +14,6 @@ package autogpt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -261,16 +260,4 @@ func errString(err error) string {
 		msg = msg[:i]
 	}
 	return msg
-}
-
-// Unwrap helpers for callers that switch on fetch failures.
-var (
-	ErrForbidden       = websim.ErrForbidden
-	ErrUnsupportedSite = websim.ErrUnsupportedSite
-)
-
-// IsAccessDenied reports whether err is one of the simulated web's
-// access-gating errors.
-func IsAccessDenied(err error) bool {
-	return errors.Is(err, websim.ErrForbidden) || errors.Is(err, websim.ErrUnsupportedSite)
 }

@@ -223,31 +223,11 @@ func (g *Gateway) routes() *http.ServeMux {
 	return mux
 }
 
-// createSession decodes the create body just far enough to learn (or
-// assign) the session ID — the routing key — then forwards the
-// re-encoded body to the owner. Gateway-generated IDs use their own
-// g-s prefix so they can never collide with a backend's local s%04d
-// sequence.
+// createSession routes a session create by its ID. Gateway-generated
+// IDs use their own g-s prefix so they can never collide with a
+// backend's local s%04d sequence.
 func (g *Gateway) createSession(w http.ResponseWriter, r *http.Request) {
-	var body map[string]json.RawMessage
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-		session.WriteErrorCode(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	if body == nil {
-		body = map[string]json.RawMessage{}
-	}
-	var id string
-	if raw, ok := body["id"]; ok {
-		_ = json.Unmarshal(raw, &id)
-	}
-	if id == "" {
-		id = fmt.Sprintf("g-s%06d", g.seq.Add(1))
-		idRaw, _ := json.Marshal(id)
-		body["id"] = idRaw
-	}
-	payload, _ := json.Marshal(body)
-	g.proxyKey(w, r, id, payload)
+	g.proxyNew(w, r, &g.seq, "g-s%06d", "")
 }
 
 // fileIncident pre-assigns a globally unique incident ID (unless the
@@ -255,6 +235,13 @@ func (g *Gateway) createSession(w http.ResponseWriter, r *http.Request) {
 // the filing lands on the backend that will also run its
 // investigation.
 func (g *Gateway) fileIncident(w http.ResponseWriter, r *http.Request) {
+	g.proxyNew(w, r, &g.incSeq, "inc-g%06d", "incident-")
+}
+
+// proxyNew decodes a create body just far enough to learn its "id", or
+// assigns one from seq formatted by idFormat, then forwards the
+// re-encoded body to the owner of keyPrefix+id.
+func (g *Gateway) proxyNew(w http.ResponseWriter, r *http.Request, seq *atomic.Int64, idFormat, keyPrefix string) {
 	var body map[string]json.RawMessage
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
 		session.WriteErrorCode(w, http.StatusBadRequest, "bad_request", err.Error())
@@ -268,12 +255,12 @@ func (g *Gateway) fileIncident(w http.ResponseWriter, r *http.Request) {
 		_ = json.Unmarshal(raw, &id)
 	}
 	if id == "" {
-		id = fmt.Sprintf("inc-g%06d", g.incSeq.Add(1))
+		id = fmt.Sprintf(idFormat, seq.Add(1))
 		idRaw, _ := json.Marshal(id)
 		body["id"] = idRaw
 	}
 	payload, _ := json.Marshal(body)
-	g.proxyKey(w, r, "incident-"+id, payload)
+	g.proxyKey(w, r, keyPrefix+id, payload)
 }
 
 // proxyIncident routes a single-incident request by its derived
@@ -367,7 +354,8 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, n *node, paylo
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
 		streamSSE(w, resp.Body)
 	} else {
-		copyPooled(w, resp.Body)
+		// The status is sent: a failed copy can only cut the body short.
+		_, _ = io.Copy(w, resp.Body)
 	}
 	g.hopHist.ObserveSince(t0)
 	return true
@@ -384,15 +372,8 @@ func (g *Gateway) node(addr string) *node {
 	return nil
 }
 
-// bufPool holds the 32KB copy buffers shared by every proxied
-// response.
+// bufPool holds the 32KB read buffers of relayed event streams.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
-
-func copyPooled(dst io.Writer, src io.Reader) {
-	bp := bufPool.Get().(*[]byte)
-	io.CopyBuffer(dst, src, *bp)
-	bufPool.Put(bp)
-}
 
 // streamSSE relays an event stream, flushing after every read so each
 // event reaches the client as the backend emits it instead of sitting

@@ -1,10 +1,8 @@
 package incident
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/session"
@@ -63,7 +61,7 @@ func (a *API) MountRoutes(handle func(pattern string, h http.HandlerFunc)) {
 
 func (a *API) file(w http.ResponseWriter, r *http.Request) {
 	var f Filing
-	if err := decodeJSON(r, &f); err != nil {
+	if err := session.DecodeJSON(r, &f); err != nil {
 		session.WriteErrorCode(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
@@ -106,7 +104,7 @@ func (a *API) get(w http.ResponseWriter, r *http.Request) {
 func (a *API) transition(to Status) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req TransitionRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := session.DecodeJSON(r, &req); err != nil {
 			session.WriteErrorCode(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
@@ -134,13 +132,4 @@ func writeError(w http.ResponseWriter, err error) {
 	default:
 		session.WriteError(w, err)
 	}
-}
-
-// decodeJSON parses the request body into v; an empty body decodes to
-// the zero value, matching the session routes.
-func decodeJSON(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("bad json body: %v", err)
-	}
-	return nil
 }

@@ -60,8 +60,8 @@ func stem(w string) string {
 	return w
 }
 
-// TermSet returns the distinct tokens of s.
-func TermSet(s string) map[string]bool {
+// termSet returns the distinct tokens of s.
+func termSet(s string) map[string]bool {
 	set := map[string]bool{}
 	for _, t := range Tokenize(s) {
 		set[t] = true
@@ -73,11 +73,11 @@ func TermSet(s string) map[string]bool {
 // fraction of a's distinct terms that also appear in b. It is the
 // coverage primitive the simulated LLM uses for evidence scoring.
 func Overlap(a, b string) float64 {
-	as := TermSet(a)
+	as := termSet(a)
 	if len(as) == 0 {
 		return 0
 	}
-	bs := TermSet(b)
+	bs := termSet(b)
 	hit := 0
 	for t := range as {
 		if bs[t] {

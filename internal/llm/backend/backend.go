@@ -17,7 +17,7 @@
 //	          with backoff+jitter, a circuit breaker with sim fallback,
 //	          a concurrency gate, an LRU response cache, singleflight
 //	          coalescing of identical in-flight prompts and optional
-//	          tail-latency request hedging (remote.go); one prompt per
+//	          fixed-delay request hedging (remote.go); one prompt per
 //	          request, answered by the response's first choice
 //
 // Every entry point (bob, the repl, quizrunner, the eval harness,
@@ -60,10 +60,9 @@ const (
 	// EnvUpstream is the upstream model name put in the request body
 	// (default "gpt-4").
 	EnvUpstream = "REPRO_LLM_MODEL"
-	// EnvHedge enables tail-latency request hedging ("1", "true", "on").
-	EnvHedge = "REPRO_LLM_HEDGE"
-	// EnvHedgeDelay fixes the hedge trigger as a Go duration; unset or
-	// zero means adaptive (tracked p99 of successful attempts).
+	// EnvHedgeDelay enables tail-latency request hedging: a Go duration
+	// after which a slow attempt is raced by a second one. Unset or zero
+	// means no hedging.
 	EnvHedgeDelay = "REPRO_LLM_HEDGE_DELAY"
 )
 
@@ -77,10 +76,8 @@ type Options struct {
 	APIKey string
 	// Upstream overrides EnvUpstream (the model name sent upstream).
 	Upstream string
-	// Hedge overrides EnvHedge: tail-latency request hedging.
-	Hedge bool
-	// HedgeDelay overrides EnvHedgeDelay: a fixed hedge trigger
-	// (0 = adaptive p99).
+	// HedgeDelay overrides EnvHedgeDelay: the delay after which a slow
+	// attempt is hedged (0 = no hedging).
 	HedgeDelay time.Duration
 	// Counters receives the remote client's instrumentation. Nil means
 	// the process-wide default set, which GET /v1/stats reports.
@@ -98,12 +95,6 @@ func (o Options) withEnv() Options {
 	}
 	if o.Upstream == "" {
 		o.Upstream = os.Getenv(EnvUpstream)
-	}
-	if !o.Hedge {
-		switch strings.ToLower(os.Getenv(EnvHedge)) {
-		case "1", "true", "on", "yes":
-			o.Hedge = true
-		}
 	}
 	if o.HedgeDelay == 0 {
 		if d, err := time.ParseDuration(os.Getenv(EnvHedgeDelay)); err == nil && d > 0 {
@@ -197,7 +188,6 @@ func init() {
 			Endpoint:   o.Endpoint,
 			APIKey:     o.APIKey,
 			Upstream:   o.Upstream,
-			Hedge:      o.Hedge,
 			HedgeDelay: o.HedgeDelay,
 			Fallback:   llm.NewSim(),
 			Counters:   o.Counters,

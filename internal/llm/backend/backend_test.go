@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/llm"
 	"repro/internal/prompt"
@@ -92,6 +93,22 @@ func TestRemoteRequiresEndpoint(t *testing.T) {
 	}
 	if _, ok := m.(*Remote); !ok {
 		t.Fatalf("remote backend is %T, want *Remote", m)
+	}
+}
+
+// TestRemoteHedgeDelayFromEnv: the hedge delay is the only hedge
+// setting, and the environment turns hedging on by setting it.
+func TestRemoteHedgeDelayFromEnv(t *testing.T) {
+	t.Setenv(EnvEndpoint, "http://127.0.0.1:1/v1")
+	for env, want := range map[string]time.Duration{"": 0, "50ms": 50 * time.Millisecond, "-1s": 0, "soon": 0} {
+		t.Setenv(EnvHedgeDelay, env)
+		m, err := New("remote")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.(*Remote).cfg.HedgeDelay; got != want {
+			t.Errorf("%s=%q: hedge delay %v, want %v", EnvHedgeDelay, env, got, want)
+		}
 	}
 }
 

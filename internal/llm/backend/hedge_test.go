@@ -191,11 +191,7 @@ func TestRemoteHedgeCutsTail(t *testing.T) {
 	ctrs := &Counters{}
 	r, err := NewRemote(RemoteConfig{
 		Endpoint:   "http://llm.test/v1",
-		Timeout:    time.Hour, // the tail is longer than any test run
-		MaxRetries: 0,
-		Hedge:      true,
 		HedgeDelay: 50 * time.Millisecond,
-		CacheSize:  -1,
 		Client:     &http.Client{Transport: tr},
 		Clock:      clk,
 		Jitter:     func() float64 { return 0 },
@@ -228,46 +224,5 @@ func TestRemoteHedgeCutsTail(t *testing.T) {
 	}
 	if st.Failures != 0 {
 		t.Errorf("failures = %d: a won hedge is not a failure", st.Failures)
-	}
-}
-
-// TestLatencyTrackerP99 pins the quantile math the adaptive hedge
-// trigger relies on.
-func TestLatencyTrackerP99(t *testing.T) {
-	lt := newLatencyTracker(latencyWindow)
-	if _, ok := lt.p99(); ok {
-		t.Fatal("p99 available with no samples")
-	}
-	// A tight cluster with a sparse tail: p99 must sit in the tail.
-	for i := 0; i < 99; i++ {
-		lt.record(10 * time.Millisecond)
-	}
-	lt.record(500 * time.Millisecond)
-	d, ok := lt.p99()
-	if !ok {
-		t.Fatal("p99 unavailable after 100 samples")
-	}
-	if d != 500*time.Millisecond {
-		t.Errorf("p99 = %v, want 500ms", d)
-	}
-}
-
-// TestRemoteHedgeDelayAdaptive: with no fixed HedgeDelay the trigger is
-// the attempt timeout until the tracker warms up, then the tracked p99.
-func TestRemoteHedgeDelayAdaptive(t *testing.T) {
-	tr := &scriptedTransport{steps: []step{{status: 200, content: "ok"}}}
-	r, _, _ := newTestRemote(t, tr, func(c *RemoteConfig) { c.Hedge = true })
-	if d := r.hedgeDelay(); d != r.cfg.Timeout {
-		t.Errorf("cold hedge delay = %v, want the attempt timeout %v", d, r.cfg.Timeout)
-	}
-	for i := 0; i < hedgeMinSamples; i++ {
-		r.lat.record(20 * time.Millisecond)
-	}
-	if d := r.hedgeDelay(); d != 20*time.Millisecond {
-		t.Errorf("warm hedge delay = %v, want 20ms", d)
-	}
-	r.cfg.HedgeDelay = 5 * time.Millisecond
-	if d := r.hedgeDelay(); d != 5*time.Millisecond {
-		t.Errorf("fixed hedge delay = %v, want 5ms", d)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,6 +29,21 @@ const (
 	// breakerCooldown is how long the breaker stays open before it
 	// admits one half-open probe.
 	breakerCooldown = 10 * time.Second
+	// attemptTimeout bounds each individual attempt.
+	attemptTimeout = 30 * time.Second
+	// maxRetries is how many re-attempts follow a retryable failure, so
+	// a completion makes up to maxRetries+1 attempts.
+	maxRetries = 3
+	// backoffBase seeds the exponential backoff schedule: re-attempt n
+	// waits min(backoffBase<<n, backoffMax) scaled by jitter.
+	backoffBase = 200 * time.Millisecond
+	// backoffMax caps one backoff wait.
+	backoffMax = 5 * time.Second
+	// maxInFlight bounds concurrent upstream requests; excess callers
+	// wait, honoring ctx.
+	maxInFlight = 32
+	// cacheSize bounds the prompt-keyed LRU response cache.
+	cacheSize = 512
 )
 
 // Clock abstracts time for the remote client so every failure path —
@@ -68,30 +82,10 @@ type RemoteConfig struct {
 	// Upstream is the model name sent in the request body (default
 	// "gpt-4", the paper's model).
 	Upstream string
-	// Timeout bounds each individual attempt (default 30s).
-	Timeout time.Duration
-	// MaxRetries is how many re-attempts follow a retryable failure
-	// (default 3, so up to 4 attempts total).
-	MaxRetries int
-	// BackoffBase seeds the exponential backoff schedule: attempt n
-	// waits min(BackoffBase<<n, BackoffMax) scaled by jitter (default
-	// 200ms).
-	BackoffBase time.Duration
-	// BackoffMax caps one backoff wait (default 5s).
-	BackoffMax time.Duration
-	// MaxInFlight bounds concurrent upstream requests; excess callers
-	// wait, honoring ctx (default 32).
-	MaxInFlight int
-	// CacheSize bounds the prompt-keyed LRU response cache; 0 takes the
-	// default (512), negative disables caching.
-	CacheSize int
-	// Hedge enables tail-latency hedging: when an attempt outlives the
-	// hedge delay, a second identical attempt races it and the first
-	// response wins. Duplicated work trades for a shorter tail.
-	Hedge bool
-	// HedgeDelay fixes the hedge trigger. 0 means adaptive: the tracked
-	// p99 of recent successful attempts (no hedging until enough
-	// history exists).
+	// HedgeDelay, when positive, enables tail-latency hedging: an
+	// attempt that outlives it is raced by a second identical attempt,
+	// and the first response wins. Duplicated work trades for a shorter
+	// tail. Zero disables hedging.
 	HedgeDelay time.Duration
 	// Fallback, when set, serves completions whenever the remote path
 	// fails — breaker open, retries exhausted, or a permanent error —
@@ -112,26 +106,6 @@ type RemoteConfig struct {
 func (c RemoteConfig) withDefaults() RemoteConfig {
 	if c.Upstream == "" {
 		c.Upstream = "gpt-4"
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 200 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 32
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 512
 	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
@@ -162,7 +136,7 @@ const (
 // half-open circuit breaker with optional fallback to the simulated
 // model, a bounded in-flight gate, a prompt-keyed LRU response cache,
 // singleflight coalescing of identical in-flight prompts, and optional
-// tail-latency request hedging. Each completion is one request carrying
+// fixed-delay request hedging. Each completion is one request carrying
 // one user message; batching, where wanted, belongs to the server. All
 // time is injected, so the failure and latency paths are testable with
 // a fake clock.
@@ -183,10 +157,6 @@ type Remote struct {
 	// onto one upstream request (singleflight).
 	fmu     sync.Mutex
 	flights map[string]*flight
-
-	// lat tracks successful-attempt latency for the adaptive hedge
-	// trigger.
-	lat *latencyTracker
 }
 
 // flight is one in-progress completion that identical callers join.
@@ -202,17 +172,12 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	if strings.TrimSpace(cfg.Endpoint) == "" {
 		return nil, fmt.Errorf("backend: remote endpoint is required")
 	}
-	cfg = cfg.withDefaults()
-	r := &Remote{
-		cfg:     cfg,
-		gate:    make(chan struct{}, cfg.MaxInFlight),
+	return &Remote{
+		cfg:     cfg.withDefaults(),
+		gate:    make(chan struct{}, maxInFlight),
+		cache:   newPromptCache(cacheSize),
 		flights: map[string]*flight{},
-		lat:     newLatencyTracker(latencyWindow),
-	}
-	if cfg.CacheSize > 0 {
-		r.cache = newPromptCache(cfg.CacheSize)
-	}
-	return r, nil
+	}, nil
 }
 
 // chat-completions wire types (the OpenAI-compatible subset we use).
@@ -239,7 +204,7 @@ type chatResponse struct {
 // coalesce onto one upstream request: followers wait for the leader's
 // result instead of spending their own.
 func (r *Remote) Complete(ctx context.Context, encodedPrompt string) (string, error) {
-	if out, ok := r.cacheGet(encodedPrompt); ok {
+	if out, ok := r.cache.get(encodedPrompt); ok {
 		r.cfg.Counters.cacheHits.Add(1)
 		return out, nil
 	}
@@ -299,7 +264,7 @@ func (r *Remote) completeOne(ctx context.Context, encodedPrompt string) (string,
 		return r.fallback(ctx, encodedPrompt, err)
 	}
 	r.recordSuccess()
-	r.cachePut(encodedPrompt, out)
+	r.cache.put(encodedPrompt, out)
 	return out, nil
 }
 
@@ -399,7 +364,7 @@ func (r *Remote) complete(ctx context.Context, prompt string) (string, error) {
 			return out, nil
 		}
 		var re *retryableError
-		if !errors.As(err, &re) || attempt >= r.cfg.MaxRetries {
+		if !errors.As(err, &re) || attempt >= maxRetries {
 			return "", err
 		}
 		wait := re.retryAfter
@@ -413,14 +378,14 @@ func (r *Remote) complete(ctx context.Context, prompt string) (string, error) {
 	}
 }
 
-// attemptHedged runs one logical attempt. With hedging enabled, a slow
-// primary request is raced by an identical hedge launched after the
-// hedge delay; the first result (success or, once both are in, the
+// attemptHedged runs one logical attempt. With a positive HedgeDelay, a
+// slow primary request is raced by an identical hedge launched after
+// that delay; the first result (success or, once both are in, the
 // primary's failure) wins and the loser's context is cancelled.
 func (r *Remote) attemptHedged(ctx context.Context, prompt string) (string, error) {
-	if !r.cfg.Hedge {
+	if r.cfg.HedgeDelay <= 0 {
 		r.cfg.Counters.requests.Add(1)
-		return r.timedAttempt(ctx, prompt)
+		return r.attempt(ctx, prompt)
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -433,14 +398,14 @@ func (r *Remote) attemptHedged(ctx context.Context, prompt string) (string, erro
 	launch := func(hedge bool) {
 		r.cfg.Counters.requests.Add(1)
 		go func() {
-			out, err := r.timedAttempt(actx, prompt)
+			out, err := r.attempt(actx, prompt)
 			results <- result{out, err, hedge}
 		}()
 	}
 	launch(false)
 	hedgeTimer := make(chan struct{}, 1)
 	go func() {
-		if r.cfg.Clock.Sleep(actx, r.hedgeDelay()) == nil {
+		if r.cfg.Clock.Sleep(actx, r.cfg.HedgeDelay) == nil {
 			hedgeTimer <- struct{}{}
 		}
 	}()
@@ -471,102 +436,16 @@ func (r *Remote) attemptHedged(ctx context.Context, prompt string) (string, erro
 	}
 }
 
-// timedAttempt is attempt plus latency tracking: successful attempts
-// feed the p99 estimate the adaptive hedge trigger uses.
-func (r *Remote) timedAttempt(ctx context.Context, prompt string) (string, error) {
-	start := r.cfg.Clock.Now()
-	out, err := r.attempt(ctx, prompt)
-	if err == nil {
-		r.lat.record(r.cfg.Clock.Now().Sub(start))
-	}
-	return out, err
-}
-
-// hedgeDelay resolves how long the primary attempt runs before a hedge
-// races it: the fixed override when set, else the tracked p99. With too
-// little history the delay equals the attempt timeout, i.e. hedging
-// stays dormant until the tracker warms up.
-func (r *Remote) hedgeDelay() time.Duration {
-	if r.cfg.HedgeDelay > 0 {
-		return r.cfg.HedgeDelay
-	}
-	if d, ok := r.lat.p99(); ok {
-		if d < hedgeMinDelay {
-			return hedgeMinDelay
-		}
-		return d
-	}
-	return r.cfg.Timeout
-}
-
-// Adaptive hedging support: the trigger for racing a second request is
-// "the primary has outlived what the p99 of recent successes says it
-// should take".
-const (
-	// latencyWindow is how many recent successful-attempt latencies the
-	// tracker retains.
-	latencyWindow = 128
-	// hedgeMinSamples is how much history the adaptive trigger needs
-	// before hedging activates.
-	hedgeMinSamples = 16
-	// hedgeMinDelay floors the adaptive trigger so an ultra-fast
-	// upstream is not hedged on every request.
-	hedgeMinDelay = time.Millisecond
-)
-
-// latencyTracker is a fixed-size ring of recent successful-attempt
-// latencies with a quantile view over the retained window.
-type latencyTracker struct {
-	mu  sync.Mutex
-	buf []time.Duration
-	idx int
-	n   int64 // total recorded, for the warm-up gate
-}
-
-func newLatencyTracker(size int) *latencyTracker {
-	return &latencyTracker{buf: make([]time.Duration, 0, size)}
-}
-
-func (t *latencyTracker) record(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, d)
-	} else {
-		t.buf[t.idx] = d
-		t.idx = (t.idx + 1) % cap(t.buf)
-	}
-	t.n++
-}
-
-// p99 returns the 99th-percentile latency over the retained window and
-// whether enough samples exist to trust it.
-func (t *latencyTracker) p99() (time.Duration, bool) {
-	t.mu.Lock()
-	if t.n < hedgeMinSamples {
-		t.mu.Unlock()
-		return 0, false
-	}
-	s := append([]time.Duration(nil), t.buf...)
-	t.mu.Unlock()
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := len(s) * 99 / 100
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i], true
-}
-
 // backoff computes the wait before re-attempt number attempt (0-based):
-// exponential growth from BackoffBase capped at BackoffMax, scaled by
+// exponential growth from backoffBase capped at backoffMax, scaled by
 // jitter into [d/2, d) so synchronized clients fan out.
 func (r *Remote) backoff(attempt int) time.Duration {
-	d := r.cfg.BackoffBase
-	for i := 0; i < attempt && d < r.cfg.BackoffMax; i++ {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > r.cfg.BackoffMax {
-		d = r.cfg.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	half := d / 2
 	return half + time.Duration(float64(half)*r.cfg.Jitter())
@@ -577,7 +456,7 @@ func (r *Remote) backoff(attempt int) time.Duration {
 // permanent. The request is a one-message conversation; the reply is
 // its first choice.
 func (r *Remote) attempt(ctx context.Context, prompt string) (string, error) {
-	actx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 
 	body, err := json.Marshal(chatRequest{
@@ -666,23 +545,6 @@ func clipBody(b []byte) string {
 		s = s[:200] + "..."
 	}
 	return s
-}
-
-// CountersSnapshot returns this client's counter snapshot (which may be
-// the shared default set).
-func (r *Remote) CountersSnapshot() Stats { return r.cfg.Counters.Snapshot() }
-
-func (r *Remote) cacheGet(key string) (string, bool) {
-	if r.cache == nil {
-		return "", false
-	}
-	return r.cache.get(key)
-}
-
-func (r *Remote) cachePut(key, val string) {
-	if r.cache != nil {
-		r.cache.put(key, val)
-	}
 }
 
 // promptCache is a small mutex-guarded LRU keyed by encoded prompt.

@@ -149,16 +149,12 @@ func newTestRemote(t *testing.T, tr http.RoundTripper, mutate func(*RemoteConfig
 	clk := newFakeClock()
 	ctrs := &Counters{}
 	cfg := RemoteConfig{
-		Endpoint:    "http://llm.test/v1",
-		Upstream:    "gpt-4",
-		Timeout:     time.Second,
-		MaxRetries:  3,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffMax:  time.Second,
-		Client:      &http.Client{Transport: tr},
-		Clock:       clk,
-		Jitter:      func() float64 { return 0 },
-		Counters:    ctrs,
+		Endpoint: "http://llm.test/v1",
+		Upstream: "gpt-4",
+		Client:   &http.Client{Transport: tr},
+		Clock:    clk,
+		Jitter:   func() float64 { return 0 },
+		Counters: ctrs,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -208,7 +204,7 @@ func TestRemoteSuccessAndCache(t *testing.T) {
 
 // TestRemoteBackoffSchedule injects a 5xx burst and asserts the exact
 // retry schedule: with zero jitter, attempt n waits
-// min(base<<n, max)/2 — 50ms, 100ms, 200ms for base=100ms.
+// min(base<<n, max)/2 — 100ms, 200ms, 400ms for base=200ms.
 func TestRemoteBackoffSchedule(t *testing.T) {
 	tr := &scriptedTransport{steps: []step{
 		{status: 500}, {status: 502}, {status: 503}, {status: 200, content: "recovered"},
@@ -219,7 +215,7 @@ func TestRemoteBackoffSchedule(t *testing.T) {
 	if err != nil || out != "recovered" {
 		t.Fatalf("Complete = %q, %v", out, err)
 	}
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
+	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond}
 	got := clk.Sleeps()
 	if len(got) != len(want) {
 		t.Fatalf("sleeps = %v, want %v", got, want)
@@ -236,23 +232,23 @@ func TestRemoteBackoffSchedule(t *testing.T) {
 }
 
 // TestRemoteBackoffCap proves the exponential schedule caps at
-// BackoffMax (cap/2 with zero jitter) instead of growing unboundedly.
+// backoffMax (cap/2 with zero jitter) instead of growing unboundedly.
+// The retry budget ends before the cap, so the schedule is asserted
+// directly.
 func TestRemoteBackoffCap(t *testing.T) {
-	tr := &scriptedTransport{steps: []step{{status: 500}}} // repeats forever
-	r, clk, _ := newTestRemote(t, tr, func(c *RemoteConfig) {
-		c.MaxRetries = 6
-		c.Fallback = llm.NewSim()
-	})
-	if _, err := r.Complete(context.Background(), simPrompt); err != nil {
-		t.Fatal(err)
-	}
-	sleeps := clk.Sleeps()
-	if len(sleeps) != 6 {
-		t.Fatalf("sleeps = %v, want 6 entries", sleeps)
-	}
-	// base 100ms, max 1s: 50, 100, 200, 400, then capped at 500ms.
-	if sleeps[4] != 500*time.Millisecond || sleeps[5] != 500*time.Millisecond {
-		t.Errorf("capped sleeps = %v, want 500ms tail", sleeps)
+	r, _, _ := newTestRemote(t, nil, nil) // no request is made
+	// base 200ms, max 5s: 100, 200, 400, 800, 1600ms, then capped at
+	// 2.5s however many attempts follow.
+	for attempt, want := range map[int]time.Duration{
+		0:  100 * time.Millisecond,
+		4:  1600 * time.Millisecond,
+		5:  backoffMax / 2,
+		6:  backoffMax / 2,
+		60: backoffMax / 2,
+	} {
+		if got := r.backoff(attempt); got != want {
+			t.Errorf("backoff(%d) = %v, want %v", attempt, got, want)
+		}
 	}
 }
 
@@ -347,15 +343,15 @@ func TestRemotePermanentErrorNoRetry(t *testing.T) {
 // budget, then errors (no fallback configured).
 func TestRemoteRetriesExhausted(t *testing.T) {
 	tr := &scriptedTransport{steps: []step{{status: 503}}}
-	r, clk, ctrs := newTestRemote(t, tr, func(c *RemoteConfig) { c.MaxRetries = 2 })
+	r, clk, ctrs := newTestRemote(t, tr, nil)
 	_, err := r.Complete(context.Background(), "q")
 	if err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("err = %v, want upstream 503", err)
 	}
-	if tr.Calls() != 3 || len(clk.Sleeps()) != 2 {
-		t.Errorf("calls = %d, sleeps = %v; want 3 calls, 2 sleeps", tr.Calls(), clk.Sleeps())
+	if tr.Calls() != maxRetries+1 || len(clk.Sleeps()) != maxRetries {
+		t.Errorf("calls = %d, sleeps = %v; want %d calls, %d sleeps", tr.Calls(), clk.Sleeps(), maxRetries+1, maxRetries)
 	}
-	if st := ctrs.Snapshot(); st.Requests != 3 || st.Retries != 2 || st.Failures != 1 {
+	if st := ctrs.Snapshot(); st.Requests != maxRetries+1 || st.Retries != maxRetries || st.Failures != 1 {
 		t.Errorf("counters %+v", st)
 	}
 }
@@ -363,23 +359,20 @@ func TestRemoteRetriesExhausted(t *testing.T) {
 // TestRemoteBreakerLifecycle walks the full state machine: a failure run
 // opens the breaker, open serves sim-fallback without touching the
 // server, the cooldown admits one half-open probe, and a probe success
-// closes it again. A failed probe reopens it.
+// closes it again. A failed probe reopens it. The failures are
+// permanent 400s, which are never retried, so each call is one request.
 func TestRemoteBreakerLifecycle(t *testing.T) {
 	var steps []step
 	for i := 0; i < breakerThreshold; i++ {
-		steps = append(steps, step{status: 500}) // failure run -> breaker opens
+		steps = append(steps, step{status: 400}) // failure run -> breaker opens
 	}
 	steps = append(steps,
-		step{status: 500},                    // failed half-open probe -> reopens
+		step{status: 400},                    // failed half-open probe -> reopens
 		step{status: 200, content: "healed"}, // second probe succeeds -> closes
 	)
 	tr := &scriptedTransport{steps: steps}
 	sim := llm.NewSim()
-	r, clk, ctrs := newTestRemote(t, tr, func(c *RemoteConfig) {
-		c.MaxRetries = -1 // no retries: isolate the breaker from the retry loop
-		c.Fallback = llm.NewSim()
-		c.CacheSize = -1 // disable the cache so every call exercises the breaker
-	})
+	r, clk, ctrs := newTestRemote(t, tr, func(c *RemoteConfig) { c.Fallback = llm.NewSim() })
 	ctx := context.Background()
 
 	// A failure run of breakerThreshold opens the breaker; every call of
@@ -407,7 +400,7 @@ func TestRemoteBreakerLifecycle(t *testing.T) {
 	}
 
 	// Cooldown elapses: the next call is the half-open probe. It fails
-	// (scripted 500), so the breaker reopens.
+	// (scripted 400), so the breaker reopens.
 	clk.Advance(breakerCooldown + time.Second)
 	if _, err := r.Complete(ctx, simPrompt); err != nil {
 		t.Fatal(err)
@@ -425,15 +418,16 @@ func TestRemoteBreakerLifecycle(t *testing.T) {
 	if err != nil || out != "healed" {
 		t.Fatalf("recovery probe = %q, %v", out, err)
 	}
-	// Closed again: the next call goes straight through.
+	// Closed again: the next call goes straight through. It asks a new
+	// prompt, because the probe's answer is now cached.
 	calls = tr.Calls()
-	if out, _ := r.Complete(ctx, simPrompt); out != "healed" {
+	if out, _ := r.Complete(ctx, "after recovery"); out != "healed" {
 		t.Errorf("post-recovery Complete = %q", out)
 	}
 	if tr.Calls() != calls+1 {
 		t.Errorf("closed breaker did not admit the request")
 	}
-	// No real sleeps happened anywhere (no retries configured).
+	// No real sleeps happened anywhere (permanent errors are not retried).
 	if len(clk.Sleeps()) != 0 {
 		t.Errorf("breaker path slept: %v", clk.Sleeps())
 	}
@@ -446,15 +440,12 @@ func TestRemoteBreakerLifecycle(t *testing.T) {
 // TestRemoteBreakerOpenNoFallback: with no fallback configured an open
 // breaker surfaces ErrBreakerOpen.
 func TestRemoteBreakerOpenNoFallback(t *testing.T) {
-	tr := &scriptedTransport{steps: []step{{status: 500}}}
-	r, _, _ := newTestRemote(t, tr, func(c *RemoteConfig) {
-		c.MaxRetries = -1
-		c.CacheSize = -1
-	})
+	tr := &scriptedTransport{steps: []step{{status: 400}}}
+	r, _, _ := newTestRemote(t, tr, nil)
 	ctx := context.Background()
 	for i := 0; i < breakerThreshold; i++ {
 		if _, err := r.Complete(ctx, "q"); err == nil || errors.Is(err, ErrBreakerOpen) {
-			t.Fatalf("call %d = %v, want the upstream 500", i, err)
+			t.Fatalf("call %d = %v, want the upstream 400", i, err)
 		}
 	}
 	_, err := r.Complete(ctx, "q")
@@ -488,23 +479,25 @@ func TestRemoteCtxCancelMidRetry(t *testing.T) {
 // ctx while waiting for a slot.
 func TestRemoteGate(t *testing.T) {
 	release := make(chan struct{})
-	entered := make(chan struct{}, 1)
+	entered := make(chan struct{}, maxInFlight)
 	tr := &blockingTransport{release: release, entered: entered}
-	r, _, _ := newTestRemote(t, tr, func(c *RemoteConfig) {
-		c.MaxInFlight = 1
-		c.CacheSize = -1
-	})
+	r, _, _ := newTestRemote(t, tr, nil)
 
+	// Distinct prompts, so no call coalesces onto another's flight.
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		out, err := r.Complete(context.Background(), "slow")
-		if err != nil || out != "done" {
-			t.Errorf("gated call = %q, %v", out, err)
-		}
-	}()
-	<-entered // the slot is held inside the transport
+	for i := 0; i < maxInFlight; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out, err := r.Complete(context.Background(), fmt.Sprintf("slow-%d", i))
+			if err != nil || out != "done" {
+				t.Errorf("gated call %d = %q, %v", i, out, err)
+			}
+		}(i)
+	}
+	for i := 0; i < maxInFlight; i++ {
+		<-entered // every slot is held inside the transport
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -612,7 +605,7 @@ func TestRemoteOpenAIContract(t *testing.T) {
 	}))
 	defer srv.Close()
 	ctrs := &Counters{}
-	r, err := NewRemote(RemoteConfig{Endpoint: srv.URL, CacheSize: -1, Counters: ctrs})
+	r, err := NewRemote(RemoteConfig{Endpoint: srv.URL, Counters: ctrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,14 +646,14 @@ func TestRemoteOpenAIContract(t *testing.T) {
 		fmt.Fprint(w, `{"id":"chatcmpl-empty","object":"chat.completion","created":1767225600,"choices":[],"usage":{"prompt_tokens":1,"completion_tokens":0,"total_tokens":1}}`)
 	}))
 	defer empty.Close()
-	bare, err := NewRemote(RemoteConfig{Endpoint: empty.URL, CacheSize: -1, Counters: &Counters{}})
+	bare, err := NewRemote(RemoteConfig{Endpoint: empty.URL, Counters: &Counters{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out, err := bare.Complete(context.Background(), "q"); err == nil || !strings.Contains(err.Error(), "no choices") {
 		t.Errorf("empty choices = %q, %v; want a no-choices error", out, err)
 	}
-	withFallback, err := NewRemote(RemoteConfig{Endpoint: empty.URL, CacheSize: -1, Counters: &Counters{}, Fallback: llm.NewSim()})
+	withFallback, err := NewRemote(RemoteConfig{Endpoint: empty.URL, Counters: &Counters{}, Fallback: llm.NewSim()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func Handler(m *Manager, exts ...Extension) http.Handler {
 		ctx, cancel := m.requestCtx(r)
 		defer cancel()
 		var req CreateRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := DecodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -325,7 +325,7 @@ func Handler(m *Manager, exts ...Extension) http.Handler {
 
 	handle("POST /sessions/{id}/plan", func(w http.ResponseWriter, r *http.Request) {
 		var req PlanRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := DecodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -512,7 +512,7 @@ func withSession(m *Manager, w http.ResponseWriter, r *http.Request, op func(con
 // withQuestion is withSession plus a required question body field.
 func withQuestion(m *Manager, w http.ResponseWriter, r *http.Request, op func(context.Context, *Session, string) (any, error)) {
 	var req QuestionRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := DecodeJSON(r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -523,15 +523,6 @@ func withQuestion(m *Manager, w http.ResponseWriter, r *http.Request, op func(co
 	withSession(m, w, r, func(ctx context.Context, s *Session) (any, error) {
 		return op(ctx, s, req.Question)
 	})
-}
-
-// decodeJSON parses the request body into v. An empty body decodes to
-// the zero value so simple POSTs need no payload.
-func decodeJSON(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("bad json body: %v", err)
-	}
-	return nil
 }
 
 // writeError maps runtime errors to HTTP statuses and stable envelope
@@ -588,6 +579,16 @@ func writeErrorCode(w http.ResponseWriter, status int, code, msg string) {
 // WriteJSON writes v with the shared pooled-buffer encoder — exported
 // so extensions answer with the same framing as the built-in routes.
 func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
+
+// DecodeJSON parses the request body into v. An empty body decodes to
+// the zero value so simple POSTs need no payload. Exported so
+// extensions read bodies as the built-in routes do.
+func DecodeJSON(r *http.Request, v any) error {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("bad json body: %v", err)
+	}
+	return nil
+}
 
 // WriteErrorCode writes the standardized error envelope — exported so
 // extensions return the same {"error":{"code","message"}} shape and

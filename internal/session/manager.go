@@ -141,6 +141,9 @@ type Manager struct {
 	// lock) so tests can park one session's restore and prove unrelated
 	// sessions stay reachable.
 	testRestoreStall func(id string)
+	// testCloseStall, when set by tests, runs in Close right after the
+	// closed session's op lock is released.
+	testCloseStall func(id string)
 }
 
 // NewManager returns an empty manager.
@@ -235,30 +238,47 @@ func validID(id string) bool {
 
 // Create builds a new session under the given ID (empty means a
 // generated one) and registers it, evicting the least-recently-used idle
-// session if the manager is at capacity. The (potentially expensive)
-// agent-stack construction runs outside every lock; a placeholder entry
-// reserves the ID so concurrent creates and gets see it immediately.
+// session if the manager is at capacity. An ID is taken while its
+// session is live and, with a snapshot directory, while its snapshot is
+// pending or on disk. The (potentially expensive) agent-stack
+// construction runs outside every lock; a placeholder entry reserves the
+// ID so concurrent creates and gets see it immediately.
 func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	if id != "" && !validID(id) {
 		return nil, fmt.Errorf("%w %q (want 1-64 of [A-Za-z0-9_-])", ErrInvalidID, id)
 	}
-	e := &entry{ready: make(chan struct{})}
-	m.mu.Lock()
-	if id == "" {
-		// Claim the next free generated ID, skipping any the user took.
-		for {
-			m.seq++
-			id = fmt.Sprintf("s%04d", m.seq)
-			if _, taken := m.sessions[id]; !taken {
-				break
+	generated := id == ""
+	var e *entry
+	for {
+		e = &entry{ready: make(chan struct{})}
+		m.mu.Lock()
+		if generated {
+			// Claim the next free generated ID, skipping any the user took.
+			for {
+				m.seq++
+				id = fmt.Sprintf("s%04d", m.seq)
+				if _, taken := m.sessions[id]; !taken {
+					break
+				}
 			}
+		} else if _, taken := m.sessions[id]; taken {
+			m.mu.Unlock()
+			return nil, fmt.Errorf("%w: %s", ErrExists, id)
 		}
-	} else if _, taken := m.sessions[id]; taken {
+		m.sessions[id] = e
 		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrExists, id)
+		// The disk is checked with the placeholder published, so an
+		// eviction that unpublished id before it has already staged the
+		// snapshot as pending, and none can stage one after it.
+		if !m.hasSnapshot(id) {
+			break
+		}
+		err := fmt.Errorf("%w: %s", ErrExists, id)
+		m.abort(id, e, err)
+		if !generated {
+			return nil, err
+		}
 	}
-	m.sessions[id] = e
-	m.mu.Unlock()
 	if err := m.reserve(); err != nil {
 		m.abort(id, e, err)
 		return nil, err
@@ -273,6 +293,20 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	return s, nil
 }
 
+// hasSnapshot reports whether id has a pending eviction write or a
+// snapshot file. Pending is checked first: a write leaves pending only
+// after its file has landed.
+func (m *Manager) hasSnapshot(id string) bool {
+	if m.cfg.SnapshotDir == "" {
+		return false
+	}
+	if _, ok := m.pending.Load(id); ok {
+		return true
+	}
+	_, err := os.Stat(m.snapshotPath(id))
+	return err == nil
+}
+
 // Get returns the live session with the given ID. When the manager has a
 // snapshot directory and the session is not live (evicted or from an
 // earlier process), it is transparently restored from its snapshot
@@ -281,7 +315,11 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 // other IDs never wait on it.
 func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
-	if e, ok := m.sessions[id]; ok {
+	for {
+		e, ok := m.sessions[id]
+		if !ok {
+			break
+		}
 		// Committed entries resolve under the lock we already hold —
 		// no channel hop on the hot lookup path.
 		if s := e.s; s != nil {
@@ -290,7 +328,13 @@ func (m *Manager) Get(id string) (*Session, error) {
 		}
 		m.mu.Unlock()
 		<-e.ready
-		if e.err != nil {
+		switch {
+		case errors.Is(e.err, ErrExists):
+			// A Create found id persisted and withdrew its placeholder:
+			// look again, and restore the persisted session.
+			m.mu.Lock()
+			continue
+		case e.err != nil:
 			return nil, e.err
 		}
 		return e.s, nil
@@ -610,14 +654,20 @@ func (m *Manager) Close(ctx context.Context, id string, discard bool) error {
 			return err
 		}
 	}
-	s.markClosed()
-	s.release()
+	// Unpublish and free the slot while the op lock is still held, so
+	// no eviction can take the session and free its slot a second time,
+	// and no Create finds the slot held by a closed session.
 	m.mu.Lock()
-	if cur, still := m.sessions[id]; still && cur == e {
+	if m.sessions[id] == e {
 		delete(m.sessions, id)
+		m.unreserve()
 	}
 	m.mu.Unlock()
-	m.unreserve()
+	s.markClosed()
+	s.release()
+	if m.testCloseStall != nil {
+		m.testCloseStall(id)
+	}
 	if discard && m.cfg.SnapshotDir != "" {
 		m.discardSnapshot(id)
 	}

@@ -536,3 +536,166 @@ func TestEvictionAfterShutdownWritesInline(t *testing.T) {
 		t.Fatalf("post-Shutdown eviction snapshot not on disk: %v", err)
 	}
 }
+
+// TestCloseFreesItsSlotOnce: Close unpublishes its session and frees
+// its slot before it releases the op lock. An eviction that runs right
+// after that release can therefore neither take the closed session nor
+// free its slot a second time, and the manager never holds more live
+// sessions than its capacity.
+func TestCloseFreesItsSlotOnce(t *testing.T) {
+	ctx := context.Background()
+	m := newTestManager(t, ManagerConfig{Capacity: 2})
+	for _, id := range []string{"a", "b"} {
+		if _, err := m.Create(id, Config{Seed: 42}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := m.Get("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer b.release() // b stays busy: not evictable
+	m.testCloseStall = func(string) {
+		if _, err := m.Create("c", Config{Seed: 42}); err != nil {
+			t.Errorf("Create(c) while a closes: %v", err)
+		}
+	}
+	if err := m.Close(ctx, "a", true); err != nil {
+		t.Fatal(err)
+	}
+	m.testCloseStall = nil
+	if _, err := m.Create("d", Config{Seed: 42}); err != nil {
+		t.Fatal(err) // evicts c, the one idle session
+	}
+	ids := []string{}
+	for _, st := range m.List() {
+		ids = append(ids, st.ID)
+	}
+	if fmt.Sprint(ids) != "[b d]" {
+		t.Errorf("live sessions = %v, want [b d]", ids)
+	}
+	if n, live := m.Len(), m.live.Load(); n != 2 || live != 2 {
+		t.Errorf("Len() = %d, live = %d; want 2 and 2 at capacity 2", n, live)
+	}
+	if ev := m.Stats().Evictions; ev != 1 {
+		t.Errorf("evictions = %d, want 1", ev)
+	}
+}
+
+// TestCreateRefusesPersistedID: with a snapshot directory, an ID whose
+// session was evicted is still taken, whether its write is pending or
+// on disk. Create answers ErrExists instead of shadowing it with a
+// fresh session, and the evicted state stays restorable.
+func TestCreateRefusesPersistedID(t *testing.T) {
+	ctx := context.Background()
+	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: t.TempDir()})
+	a, err := m.Create("a", Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Train(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wantItems, wantLast := a.MemoryLen(), a.LastEventID()
+	if _, err := m.Create("b", Config{Seed: 42}); err != nil {
+		t.Fatal(err) // evicts a; its write is pending or landed
+	}
+	if _, err := m.Create("a", Config{Seed: 42}); !errors.Is(err, ErrExists) {
+		t.Fatalf("Create(a) right after its eviction = %v, want ErrExists", err)
+	}
+	m.Flush()
+	if _, err := m.Create("a", Config{Seed: 42}); !errors.Is(err, ErrExists) {
+		t.Fatalf("Create(a) with its snapshot on disk = %v, want ErrExists", err)
+	}
+	got, err := m.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := got.Status(); !st.Trained || got.MemoryLen() != wantItems || got.LastEventID() != wantLast {
+		t.Errorf("Get(a) = trained %v, %d items, last event %d; want the evicted true, %d, %d",
+			st.Trained, got.MemoryLen(), got.LastEventID(), wantItems, wantLast)
+	}
+	// A discarding Close frees the ID for a new session.
+	if err := m.Close(ctx, "a", true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create("a", Config{Seed: 42}); err != nil {
+		t.Errorf("Create(a) after Close(discard) = %v, want nil", err)
+	}
+}
+
+// TestCreateGeneratedIDSkipsPersisted: a manager restarted on a snapshot
+// directory does not hand out a generated ID whose snapshot file an
+// earlier process left there.
+func TestCreateGeneratedIDSkipsPersisted(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	first := newTestManager(t, ManagerConfig{SnapshotDir: dir})
+	s, err := first.Create("", Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ID() != "s0001" {
+		t.Fatalf("first generated id = %q, want s0001", s.ID())
+	}
+	if err := first.Close(ctx, "s0001", false); err != nil {
+		t.Fatal(err) // persists s0001.json
+	}
+
+	restarted := newTestManager(t, ManagerConfig{SnapshotDir: dir})
+	gen, err := restarted.Create("", Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.ID() != "s0002" {
+		t.Errorf("generated id after restart = %q, want s0002 (s0001 is on disk)", gen.ID())
+	}
+	if _, err := restarted.Get("s0001"); err != nil {
+		t.Errorf("Get(s0001) after the skip = %v, want the persisted session", err)
+	}
+	if n := restarted.Len(); n != 2 {
+		t.Errorf("Len() = %d, want 2", n)
+	}
+}
+
+// TestGetRetriesAfterWithdrawnCreate: a Get that waits on a Create's
+// placeholder, which the Create then withdraws because the ID is
+// persisted, looks again and restores the persisted session instead of
+// failing with the Create's ErrExists.
+func TestGetRetriesAfterWithdrawnCreate(t *testing.T) {
+	ctx := context.Background()
+	m := newTestManager(t, ManagerConfig{SnapshotDir: t.TempDir()})
+	if _, err := m.Create("a", Config{Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(ctx, "a", false); err != nil {
+		t.Fatal(err) // persists a.json
+	}
+	// A Create of "a" has published its placeholder and not yet checked
+	// the disk.
+	e := &entry{ready: make(chan struct{})}
+	m.mu.Lock()
+	m.sessions["a"] = e
+	m.mu.Unlock()
+	var (
+		got  *Session
+		err  error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		got, err = m.Get("a")
+	}()
+	time.Sleep(20 * time.Millisecond) // let the Get reach the wait
+	m.abort("a", e, fmt.Errorf("%w: a", ErrExists))
+	<-done
+	if err != nil || got == nil || got.ID() != "a" {
+		t.Fatalf("Get(a) after the Create withdrew = %v, %v; want the persisted session", got, err)
+	}
+	if st := m.Stats(); st.DiskRestores != 1 {
+		t.Errorf("disk restores = %d, want 1", st.DiskRestores)
+	}
+}

@@ -247,13 +247,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the traffic counters.
-func (e *Engine) ResetStats() {
-	e.queries.Store(0)
-	e.fetches.Store(0)
-	e.denied.Store(0)
-}
-
 func (e *Engine) sleep(ctx context.Context) error {
 	if e.opts.Latency <= 0 {
 		return ctx.Err()

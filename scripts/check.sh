@@ -48,9 +48,10 @@ run_listed -race -run 'TestAskPath|TestSimFastPath|TestEnsembleFastPath|FuzzEnco
 
 # Concurrency-heavy paths under the race detector: the remote client
 # against a server shaped like the real chat-completions API, the
-# fake-clock hedging/singleflight suite and the SSE stream lifecycle
-# (cancel mid-investigation, eviction, goroutine-leak checks).
-run_listed -race -count=1 -run 'TestRemoteOpenAIContract|TestRemoteSingleflight|TestRemoteHedge|TestLatencyTracker' ./internal/llm/backend
+# fake-clock hedging/singleflight suite, the in-flight gate filled by
+# concurrent calls, the breaker state machine and the SSE stream
+# lifecycle (cancel mid-investigation, eviction, goroutine-leak checks).
+run_listed -race -count=1 -run 'TestRemoteOpenAIContract|TestRemoteSingleflight|TestRemoteHedge|TestRemoteGate|TestRemoteBreaker' ./internal/llm/backend
 run_listed -race -count=1 -run 'TestStream|TestEventBuffer' ./internal/session
 
 # The segmented memory tier: overlay-vs-combined BM25 byte-identity,
@@ -67,10 +68,12 @@ run_listed -count=1 -run 'TestFootprintReport' .
 
 # Eviction and restore: each eviction queues its snapshot write on the
 # writer pool, and a restore of a pending ID lands that write before it
-# reads the file. When the pool runs a write decides the interleaving,
-# and one pass of go test -race ./... rarely varies it, so these run
-# five times under the race detector.
-run_listed -race -count=5 -run 'TestCapacityIsGlobalUnderConcurrentCreates|TestConcurrentRestoreSingleflight|TestFlushBarrierLandsEvictionWrites|TestEvictionAfterShutdownWritesInline|TestRestoreAfterEvictionReadsLatestSnapshot|TestRestoreReserveFailureKeepsSnapshot|TestEvictionWriteFailureLosesNothing|TestCloseOfSessionClosedUnderLookup|TestHTTPDeleteDrainedSession' ./internal/session
+# reads the file; Close frees its slot before it releases the session,
+# and Create refuses an ID whose snapshot is pending or on disk. When
+# the pool runs a write decides the interleaving, and one pass of go
+# test -race ./... rarely varies it, so these run five times under the
+# race detector.
+run_listed -race -count=5 -run 'TestCapacityIsGlobalUnderConcurrentCreates|TestConcurrentRestoreSingleflight|TestFlushBarrierLandsEvictionWrites|TestEvictionAfterShutdownWritesInline|TestRestoreAfterEvictionReadsLatestSnapshot|TestRestoreReserveFailureKeepsSnapshot|TestEvictionWriteFailureLosesNothing|TestCloseOfSessionClosedUnderLookup|TestHTTPDeleteDrainedSession|TestCloseFreesItsSlotOnce|TestCreateRefusesPersistedID|TestCreateGeneratedIDSkipsPersisted|TestGetRetriesAfterWithdrawnCreate' ./internal/session
 
 # The retrieval pipeline: byte-identity of memory/events/investigation at
 # every fan-out width, the cancel-mid-fetch drain (exactly-once context

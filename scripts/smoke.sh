@@ -38,7 +38,7 @@ go build -o "$WORK/websimd" ./cmd/websimd
 "$WORK/llmstub" -addr "$LLM_ADDR" -fail 2 \
   -slow-every 3 -slow-latency 300ms >"$WORK/llmstub.log" 2>&1 &
 PIDS+=($!)
-REPRO_LLM_ENDPOINT="http://$LLM_ADDR" REPRO_LLM_HEDGE=1 REPRO_LLM_HEDGE_DELAY=50ms \
+REPRO_LLM_ENDPOINT="http://$LLM_ADDR" REPRO_LLM_HEDGE_DELAY=50ms \
   "$WORK/websimd" -addr "$API_ADDR" -model remote \
   -incident-workers 2 >"$WORK/websimd.log" 2>&1 &
 PIDS+=($!)
