@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/autogpt"
 	"repro/internal/llm"
@@ -198,10 +199,15 @@ type Answer struct {
 // Ask answers a question from current knowledge only (no self-learning).
 func (a *Agent) Ask(ctx context.Context, question string) (Answer, error) {
 	cfg := a.Config.withDefaults()
+	return a.ask(ctx, a.Memory.KnowledgeText(question, cfg.KnowledgeItems), question)
+}
+
+// ask answers a question from the given knowledge text.
+func (a *Agent) ask(ctx context.Context, knowledge, question string) (Answer, error) {
 	p := prompt.Prompt{
 		Task:      prompt.TaskAnswer,
 		Role:      a.roleText(),
-		Knowledge: a.Memory.KnowledgeText(question, cfg.KnowledgeItems),
+		Knowledge: knowledge,
 		Question:  question,
 	}
 	out, err := llm.Complete(ctx, a.Model, p)
@@ -219,10 +225,16 @@ func (a *Agent) Ask(ctx context.Context, question string) (Answer, error) {
 // question (the paper's self-learning prompt).
 func (a *Agent) ProposeSearches(ctx context.Context, question string) ([]string, error) {
 	cfg := a.Config.withDefaults()
+	return a.proposeSearches(ctx, a.Memory.KnowledgeText(question, cfg.KnowledgeItems), question)
+}
+
+// proposeSearches asks for the searches that would better answer the
+// question given the knowledge text.
+func (a *Agent) proposeSearches(ctx context.Context, knowledge, question string) ([]string, error) {
 	p := prompt.Prompt{
 		Task:      prompt.TaskSearches,
 		Role:      a.roleText(),
-		Knowledge: a.Memory.KnowledgeText(question, cfg.KnowledgeItems),
+		Knowledge: knowledge,
 		Question:  question,
 	}
 	out, err := llm.Complete(ctx, a.Model, p)
@@ -328,11 +340,37 @@ type Investigation struct {
 // 4): answer, check confidence against the threshold, and if below it,
 // search for the missing evidence and repeat — until confident, out of
 // rounds, or saturated (no new knowledge reachable).
+//
+// Both prompts of a round carry the same role, knowledge and question,
+// so with a wire model — one without the llm.ParsedCompleter fast path,
+// whose every completion is a network round trip — a round that can
+// still continue sends its search proposal together with its answer
+// prompt. The proposal is joined before it is used or the loop
+// returns, and discarded when the answer is confident. In-process
+// models stay sequential: for them an overlapped proposal only
+// duplicates evidence extraction. Only this goroutine emits events, so
+// output and events are identical on either path.
 func (a *Agent) Investigate(ctx context.Context, question string) (Investigation, error) {
 	cfg := a.Config.withDefaults()
+	_, inProcess := a.Model.(llm.ParsedCompleter)
+	// Join, don't cancel: cancelling an HTTP/1.1 request closes its
+	// keep-alive connection, so the next round would dial again.
+	var proposal sync.WaitGroup
+	defer proposal.Wait()
 	inv := Investigation{Question: question}
 	for round := 0; ; round++ {
-		ans, err := a.Ask(ctx, question)
+		knowledge := a.Memory.KnowledgeText(question, cfg.KnowledgeItems)
+		var queries []string
+		var proposeErr error
+		overlap := !inProcess && round < cfg.MaxRounds
+		if overlap {
+			proposal.Add(1)
+			go func() {
+				defer proposal.Done()
+				queries, proposeErr = a.proposeSearches(ctx, knowledge, question)
+			}()
+		}
+		ans, err := a.ask(ctx, knowledge, question)
 		if err != nil {
 			return inv, err
 		}
@@ -345,9 +383,13 @@ func (a *Agent) Investigate(ctx context.Context, question string) (Investigation
 			inv.Rounds = append(inv.Rounds, rec)
 			return inv, nil
 		}
-		queries, err := a.ProposeSearches(ctx, question)
-		if err != nil {
-			return inv, err
+		if overlap {
+			proposal.Wait()
+		} else {
+			queries, proposeErr = a.proposeSearches(ctx, knowledge, question)
+		}
+		if proposeErr != nil {
+			return inv, proposeErr
 		}
 		rec.Searches = queries
 		if len(queries) == 0 {

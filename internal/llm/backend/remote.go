@@ -246,7 +246,8 @@ func (r *Remote) Complete(ctx context.Context, encodedPrompt string) (string, er
 
 // completeOne runs one (uncoalesced) completion through the breaker.
 func (r *Remote) completeOne(ctx context.Context, encodedPrompt string) (string, error) {
-	if !r.admit() {
+	admitted, probe := r.admit()
+	if !admitted {
 		// Breaker rejecting traffic: fail fast, degrading to the
 		// fallback model when configured.
 		r.cfg.Counters.failures.Add(1)
@@ -254,13 +255,18 @@ func (r *Remote) completeOne(ctx context.Context, encodedPrompt string) (string,
 	}
 	out, err := r.complete(ctx, encodedPrompt)
 	if err != nil {
-		r.recordFailure()
-		r.cfg.Counters.failures.Add(1)
 		// Context cancellation is the caller's doing, not the remote's:
-		// it neither trips the fallback nor masks the cancellation.
+		// it is no failure, says nothing about the upstream's health, and
+		// neither trips the fallback nor masks the cancellation. A
+		// cancelled probe hands the probe to the next request.
 		if ctx.Err() != nil {
+			if probe {
+				r.releaseProbe()
+			}
 			return "", err
 		}
+		r.recordFailure()
+		r.cfg.Counters.failures.Add(1)
 		return r.fallback(ctx, encodedPrompt, err)
 	}
 	r.recordSuccess()
@@ -282,28 +288,37 @@ func (r *Remote) fallback(ctx context.Context, encodedPrompt string, cause error
 	return out, nil
 }
 
-// admit runs the breaker's admission decision for one request.
-func (r *Remote) admit() bool {
+// admit runs the breaker's admission decision for one request, and
+// reports whether the admitted request is the half-open probe.
+func (r *Remote) admit() (admitted, probe bool) {
 	r.bmu.Lock()
 	defer r.bmu.Unlock()
 	switch r.state {
 	case breakerClosed:
-		return true
+		return true, false
 	case breakerOpen:
 		if r.cfg.Clock.Now().Sub(r.openedAt) < breakerCooldown {
-			return false
+			return false, false
 		}
 		// Cooldown over: this request becomes the half-open probe.
 		r.state = breakerHalfOpen
 		r.probeBusy = true
-		return true
+		return true, true
 	default: // half-open
 		if r.probeBusy {
-			return false
+			return false, false
 		}
 		r.probeBusy = true
-		return true
+		return true, true
 	}
+}
+
+// releaseProbe frees the half-open probe slot of a probe that ended
+// without a verdict on the upstream, so the next request probes.
+func (r *Remote) releaseProbe() {
+	r.bmu.Lock()
+	defer r.bmu.Unlock()
+	r.probeBusy = false
 }
 
 // recordSuccess closes the breaker.

@@ -77,6 +77,7 @@ type step struct {
 	content    string // choice content when status == 200
 	retryAfter string
 	err        error // transport-level failure instead of a response
+	hang       bool  // hold the request until its context ends
 }
 
 // scriptedTransport serves the scripted steps in order; once exhausted
@@ -110,6 +111,10 @@ func (tr *scriptedTransport) RoundTrip(req *http.Request) (*http.Response, error
 
 	if st.err != nil {
 		return nil, st.err
+	}
+	if st.hang {
+		<-req.Context().Done()
+		return nil, req.Context().Err()
 	}
 	h := http.Header{}
 	if st.retryAfter != "" {
@@ -451,6 +456,101 @@ func TestRemoteBreakerOpenNoFallback(t *testing.T) {
 	_, err := r.Complete(ctx, "q")
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
+	}
+}
+
+// cancelMidRequest starts a completion of prompt, cancels its context
+// once the request has reached the transport, and checks that the call
+// returns the cancellation.
+func cancelMidRequest(t *testing.T, r *Remote, tr *scriptedTransport, prompt string) {
+	t.Helper()
+	calls := tr.Calls()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := r.Complete(ctx, prompt)
+		errc <- err
+	}()
+	waitFor(t, "the request to reach the transport", func() bool { return tr.Calls() > calls })
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call = %v, want context.Canceled", err)
+	}
+}
+
+// TestRemoteBreakerIgnoresCallerCancellation: a caller that cancels
+// mid-request says nothing about the upstream's health. A run of
+// breakerThreshold cancellations neither opens the breaker nor counts
+// as failures, and the next call reaches the (healthy) upstream.
+func TestRemoteBreakerIgnoresCallerCancellation(t *testing.T) {
+	var steps []step
+	for i := 0; i < breakerThreshold; i++ {
+		steps = append(steps, step{hang: true})
+	}
+	steps = append(steps, step{status: 200, content: "healthy"})
+	tr := &scriptedTransport{steps: steps}
+	r, _, ctrs := newTestRemote(t, tr, nil)
+
+	for i := 0; i < breakerThreshold; i++ {
+		cancelMidRequest(t, r, tr, fmt.Sprintf("cancelled-%d", i))
+	}
+	if st := ctrs.Snapshot(); st.BreakerOpens != 0 || st.Failures != 0 {
+		t.Fatalf("after %d cancellations: breaker opens %d, failures %d; want 0 and 0",
+			breakerThreshold, st.BreakerOpens, st.Failures)
+	}
+	calls := tr.Calls()
+	out, err := r.Complete(context.Background(), "after cancellations")
+	if err != nil || out != "healthy" {
+		t.Fatalf("Complete after cancellations = %q, %v; want the upstream's answer", out, err)
+	}
+	if tr.Calls() != calls+1 {
+		t.Errorf("upstream calls %d -> %d, want one more", calls, tr.Calls())
+	}
+}
+
+// TestRemoteBreakerCancelledProbe: a half-open probe whose caller
+// cancels it frees the probe slot without reopening the breaker, so
+// the next request is admitted as the probe, and its success closes
+// the breaker.
+func TestRemoteBreakerCancelledProbe(t *testing.T) {
+	var steps []step
+	for i := 0; i < breakerThreshold; i++ {
+		steps = append(steps, step{status: 400}) // failure run -> breaker opens
+	}
+	steps = append(steps,
+		step{hang: true},                     // the probe, cancelled by its caller
+		step{status: 200, content: "healed"}, // the next probe
+	)
+	tr := &scriptedTransport{steps: steps}
+	r, clk, ctrs := newTestRemote(t, tr, nil)
+	ctx := context.Background()
+	for i := 0; i < breakerThreshold; i++ {
+		if _, err := r.Complete(ctx, "q"); err == nil {
+			t.Fatalf("call %d succeeded, want the upstream 400", i)
+		}
+	}
+	if st := ctrs.Snapshot(); st.BreakerOpens != 1 {
+		t.Fatalf("breaker opens = %d after failure run, want 1", st.BreakerOpens)
+	}
+
+	clk.Advance(breakerCooldown + time.Second)
+	cancelMidRequest(t, r, tr, "probe")
+	if st := ctrs.Snapshot(); st.BreakerOpens != 1 {
+		t.Errorf("breaker opens = %d after a cancelled probe, want still 1", st.BreakerOpens)
+	}
+
+	calls := tr.Calls()
+	out, err := r.Complete(ctx, "next probe")
+	if err != nil || out != "healed" {
+		t.Fatalf("request after the cancelled probe = %q, %v; want it admitted as the probe", out, err)
+	}
+	if tr.Calls() != calls+1 {
+		t.Errorf("upstream calls %d -> %d, want one more", calls, tr.Calls())
+	}
+	// The probe's success closed the breaker: the next call goes through.
+	if out, err := r.Complete(ctx, "closed again"); err != nil || out != "healed" {
+		t.Errorf("Complete after recovery = %q, %v", out, err)
 	}
 }
 
