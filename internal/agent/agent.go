@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/autogpt"
 	"repro/internal/llm"
@@ -342,36 +341,24 @@ type Investigation struct {
 // rounds, or saturated (no new knowledge reachable).
 //
 // Both prompts of a round carry the same role, knowledge and question,
-// so with a wire model — one without the llm.ParsedCompleter fast path,
-// whose every completion is a network round trip — a round that can
-// still continue sends its search proposal together with its answer
-// prompt. The proposal is joined before it is used or the loop
-// returns, and discarded when the answer is confident. In-process
-// models stay sequential: for them an overlapped proposal only
-// duplicates evidence extraction. Only this goroutine emits events, so
-// output and events are identical on either path.
+// so a round that can still continue sends its search proposal together
+// with its answer prompt: against a remote model the round waits one
+// round trip instead of two. The proposal is joined before it is used,
+// and cancelled and joined when the round ends the loop, so nothing a
+// round starts outlives it. Only this goroutine emits events, so output
+// and events are those of the sequential loop.
 func (a *Agent) Investigate(ctx context.Context, question string) (Investigation, error) {
 	cfg := a.Config.withDefaults()
-	_, inProcess := a.Model.(llm.ParsedCompleter)
-	// Join, don't cancel: cancelling an HTTP/1.1 request closes its
-	// keep-alive connection, so the next round would dial again.
-	var proposal sync.WaitGroup
-	defer proposal.Wait()
 	inv := Investigation{Question: question}
 	for round := 0; ; round++ {
 		knowledge := a.Memory.KnowledgeText(question, cfg.KnowledgeItems)
-		var queries []string
-		var proposeErr error
-		overlap := !inProcess && round < cfg.MaxRounds
-		if overlap {
-			proposal.Add(1)
-			go func() {
-				defer proposal.Done()
-				queries, proposeErr = a.proposeSearches(ctx, knowledge, question)
-			}()
+		var next *proposal
+		if round < cfg.MaxRounds {
+			next = a.propose(ctx, knowledge, question)
 		}
 		ans, err := a.ask(ctx, knowledge, question)
 		if err != nil {
+			next.discard()
 			return inv, err
 		}
 		rec := Round{Round: round, Confidence: ans.Confidence, Verdict: ans.Verdict}
@@ -380,16 +367,13 @@ func (a *Agent) Investigate(ctx context.Context, question string) (Investigation
 		a.Observer.Emit(stream.Event{Type: stream.EventPartial, Round: round, Text: ans.Text})
 
 		if ans.Confidence >= cfg.ConfidenceThreshold || round >= cfg.MaxRounds {
+			next.discard()
 			inv.Rounds = append(inv.Rounds, rec)
 			return inv, nil
 		}
-		if overlap {
-			proposal.Wait()
-		} else {
-			queries, proposeErr = a.proposeSearches(ctx, knowledge, question)
-		}
-		if proposeErr != nil {
-			return inv, proposeErr
+		queries, err := next.wait()
+		if err != nil {
+			return inv, err
 		}
 		rec.Searches = queries
 		if len(queries) == 0 {
@@ -410,6 +394,48 @@ func (a *Agent) Investigate(ctx context.Context, question string) (Investigation
 			return inv, nil
 		}
 	}
+}
+
+// proposal is a round's search proposal, sent on its own goroutine
+// while the round's answer is awaited.
+type proposal struct {
+	cancel  context.CancelFunc
+	done    chan struct{}
+	queries []string
+	err     error
+}
+
+// propose sends the search proposal for the knowledge text and
+// question.
+func (a *Agent) propose(ctx context.Context, knowledge, question string) *proposal {
+	ctx, cancel := context.WithCancel(ctx)
+	p := &proposal{cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		p.queries, p.err = a.proposeSearches(ctx, knowledge, question)
+	}()
+	return p
+}
+
+// wait joins the proposal of a round that continues and returns its
+// result. It does not cancel first: cancelling an HTTP/1.1 request
+// closes its keep-alive connection, so the next round would dial again.
+func (p *proposal) wait() ([]string, error) {
+	<-p.done
+	p.cancel()
+	return p.queries, p.err
+}
+
+// discard cancels and joins the proposal of a round that ends the
+// loop, so a slow discarded request (a retry honouring Retry-After,
+// say) does not hold the answer. A nil proposal, from a round that
+// sent none, is a no-op.
+func (p *proposal) discard() {
+	if p == nil {
+		return
+	}
+	p.cancel()
+	<-p.done
 }
 
 // Revisit re-opens a previously answered question: even when the agent

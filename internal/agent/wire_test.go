@@ -20,17 +20,37 @@ import (
 	"repro/internal/websim"
 )
 
+// taskCount counts completions by prompt task.
+type taskCount struct {
+	mu sync.Mutex
+	n  map[prompt.Task]int
+}
+
+func (c *taskCount) add(task prompt.Task) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n == nil {
+		c.n = map[prompt.Task]int{}
+	}
+	c.n[task]++
+}
+
+func (c *taskCount) count(task prompt.Task) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[task]
+}
+
 // wireModel implements only llm.Model, the encoded-string contract of
 // the remote backend. Like llmstub, it parses each prompt and has the
 // simulated model answer it; respond, when set, answers instead and may
-// block or fail. It records each prompt's task and how many calls are
-// in flight.
+// block or fail. It counts each prompt's task and how many calls are in
+// flight.
 type wireModel struct {
 	sim      *llm.Sim
 	respond  func(ctx context.Context, p prompt.Prompt) (string, error)
 	inFlight atomic.Int64
-	mu       sync.Mutex
-	tasks    map[prompt.Task]int
+	taskCount
 }
 
 func (m *wireModel) Complete(ctx context.Context, encoded string) (string, error) {
@@ -40,33 +60,22 @@ func (m *wireModel) Complete(ctx context.Context, encoded string) (string, error
 	if err != nil {
 		return "", err
 	}
-	m.mu.Lock()
-	if m.tasks == nil {
-		m.tasks = map[prompt.Task]int{}
-	}
-	m.tasks[p.Task]++
-	m.mu.Unlock()
+	m.add(p.Task)
 	if m.respond != nil {
 		return m.respond(ctx, p)
 	}
 	return m.sim.Complete(ctx, encoded)
 }
 
-func (m *wireModel) count(task prompt.Task) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tasks[task]
-}
-
 // inProcessModel is the simulated model on the structured fast path,
-// counting its completions.
+// counting its completions by task.
 type inProcessModel struct {
 	*llm.Sim
-	calls atomic.Int64
+	taskCount
 }
 
 func (m *inProcessModel) CompleteParsed(ctx context.Context, p prompt.Prompt) (string, error) {
-	m.calls.Add(1)
+	m.add(p.Task)
 	return m.Sim.CompleteParsed(ctx, p)
 }
 
@@ -89,15 +98,18 @@ func investigate(t *testing.T, m llm.Model, cfg agent.Config, question string) (
 	return js, evs
 }
 
-// TestWireInvestigateMatchesSim: a wire model, to which each round
-// sends its answer and search prompts together, investigates every
+// TestWireInvestigateMatchesSim: a wire model investigates every
 // conclusion question exactly as the in-process sim does: the same
-// investigation, and the same events in the same order. Only the
-// completion count differs, by the proposal a confident round sends and
-// discards.
+// investigation, and the same events in the same order. On either
+// model every round below MaxRounds sends its answer and search prompts
+// together, so the conclusions' 18 rounds cost 36 completions, the
+// proposals of the 8 confident rounds discarded.
 func TestWireInvestigateMatchesSim(t *testing.T) {
-	wantInProcess := []int{5, 4, 3, 3, 3, 3, 5, 3}
-	var inProcessTotal, wireTotal int
+	type counted interface {
+		llm.Model
+		count(prompt.Task) int
+	}
+	var totals [2]int
 	for i, c := range quiz.Conclusions() {
 		sim := &inProcessModel{Sim: llm.NewSim()}
 		wantInv, wantEvents := investigate(t, sim, agent.Config{}, c.Question)
@@ -109,9 +121,6 @@ func TestWireInvestigateMatchesSim(t *testing.T) {
 		if !reflect.DeepEqual(gotEvents, wantEvents) {
 			t.Errorf("question %d: wire events diverged from the sim's", i)
 		}
-		if n := int(sim.calls.Load()); n != wantInProcess[i] {
-			t.Errorf("question %d: in-process completions = %d, want %d", i, n, wantInProcess[i])
-		}
 		rounds := 0
 		for _, e := range wantEvents {
 			if e.Type == stream.EventRound {
@@ -119,16 +128,17 @@ func TestWireInvestigateMatchesSim(t *testing.T) {
 			}
 		}
 		// No round reaches MaxRounds, so every round sent both prompts.
-		answers, searches := wire.count(prompt.TaskAnswer), wire.count(prompt.TaskSearches)
-		if answers != rounds || searches != rounds {
-			t.Errorf("question %d: wire sent %d answer and %d search prompts over %d rounds, want %d of each",
-				i, answers, searches, rounds, rounds)
+		for j, m := range []counted{sim, wire} {
+			answers, searches := m.count(prompt.TaskAnswer), m.count(prompt.TaskSearches)
+			if answers != rounds || searches != rounds {
+				t.Errorf("question %d: %T sent %d answer and %d search prompts over %d rounds, want %d of each",
+					i, m, answers, searches, rounds, rounds)
+			}
+			totals[j] += answers + searches
 		}
-		inProcessTotal += int(sim.calls.Load())
-		wireTotal += answers + searches
 	}
-	if inProcessTotal != 29 || wireTotal != 36 {
-		t.Errorf("completions over the conclusions: in-process %d, wire %d; want 29 and 36", inProcessTotal, wireTotal)
+	if totals != [2]int{36, 36} {
+		t.Errorf("completions over the conclusions: in-process %d, wire %d; want 36 each", totals[0], totals[1])
 	}
 
 	// A round with round == MaxRounds cannot continue: it sends no
@@ -286,6 +296,65 @@ func TestWireRoundErrors(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Errorf("Investigate error = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestWireRoundEndCancelsProposal: a round that ends the loop, on a
+// confident answer or an answer error, cancels its outstanding search
+// proposal rather than waiting it out (a discarded request held by a
+// long Retry-After must not hold the answer), and joins it, so nothing
+// is in flight when Investigate returns. The proposal here holds until
+// its context ends, so a loop that only joined it would return on the
+// test's deadline.
+func TestWireRoundEndCancelsProposal(t *testing.T) {
+	errAnswer := errors.New("answer failed")
+	cases := []struct {
+		name   string
+		answer func() (string, error)
+		want   error
+	}{
+		{
+			name: "confident answer",
+			answer: func() (string, error) {
+				return prompt.AnswerReply{Answer: "known", Confidence: 10}.Encode(), nil
+			},
+		},
+		{
+			name:   "answer error",
+			answer: func() (string, error) { return "", errAnswer },
+			want:   errAnswer,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			searched := make(chan struct{})
+			wire := &wireModel{respond: func(ctx context.Context, p prompt.Prompt) (string, error) {
+				if p.Task == prompt.TaskSearches {
+					close(searched)
+					<-ctx.Done()
+					return "", ctx.Err()
+				}
+				select {
+				case <-searched: // the proposal is in flight
+				case <-ctx.Done():
+					return "", ctx.Err()
+				}
+				return tc.answer()
+			}}
+			a := agent.New(agent.BobRole(), wire, evalcache.Engine(42, websim.Options{}), nil, agent.Config{})
+			_, err := a.Investigate(ctx, quiz.Conclusions()[0].Question)
+			if ctx.Err() != nil {
+				t.Fatalf("Investigate returned on the test deadline: it waited out the discarded proposal")
+			}
+			if !errors.Is(err, tc.want) {
+				t.Errorf("Investigate error = %v, want %v", err, tc.want)
+			}
+			if n := wire.inFlight.Load(); n != 0 {
+				t.Errorf("%d model calls still in flight after Investigate returned", n)
 			}
 		})
 	}

@@ -223,7 +223,9 @@ type Stats struct {
 	// Retries counts re-attempts after a retryable failure.
 	Retries int64 `json:"retries"`
 	// Failures counts completions that exhausted the remote path
-	// (retries spent, breaker open, or a permanent error).
+	// (retries spent, breaker open, a permanent error, or an upstream
+	// that outlasted its caller's deadline). A call its caller cancelled
+	// is not a failure.
 	Failures int64 `json:"failures"`
 	// BreakerOpens counts closed/half-open → open transitions.
 	BreakerOpens int64 `json:"breaker_opens"`

@@ -255,18 +255,25 @@ func (r *Remote) completeOne(ctx context.Context, encodedPrompt string) (string,
 	}
 	out, err := r.complete(ctx, encodedPrompt)
 	if err != nil {
-		// Context cancellation is the caller's doing, not the remote's:
-		// it is no failure, says nothing about the upstream's health, and
+		// A cancellation is the caller's doing, not the remote's: it is
+		// no failure, says nothing about the upstream's health, and
 		// neither trips the fallback nor masks the cancellation. A
 		// cancelled probe hands the probe to the next request.
-		if ctx.Err() != nil {
+		if errors.Is(ctx.Err(), context.Canceled) {
 			if probe {
 				r.releaseProbe()
 			}
 			return "", err
 		}
+		// A caller's deadline is not: an upstream that outlasts it (a
+		// hang, a black hole) is failing, so it counts toward the
+		// breaker, though the expired caller gets its deadline error
+		// rather than a fallback.
 		r.recordFailure()
 		r.cfg.Counters.failures.Add(1)
+		if ctx.Err() != nil {
+			return "", err
+		}
 		return r.fallback(ctx, encodedPrompt, err)
 	}
 	r.recordSuccess()

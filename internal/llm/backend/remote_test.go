@@ -554,6 +554,53 @@ func TestRemoteBreakerCancelledProbe(t *testing.T) {
 	}
 }
 
+// TestRemoteBreakerOpensOnCallerDeadlines: unlike a cancellation, a
+// caller's deadline that a hung upstream outlasts is an upstream
+// failure. breakerThreshold such calls open the breaker, the next call
+// fails fast without reaching the upstream, and a half-open probe that
+// times out reopens it.
+func TestRemoteBreakerOpensOnCallerDeadlines(t *testing.T) {
+	var steps []step
+	for i := 0; i <= breakerThreshold; i++ {
+		steps = append(steps, step{hang: true}) // the failure run, then the probe
+	}
+	steps = append(steps, step{status: 200, content: "healthy"})
+	tr := &scriptedTransport{steps: steps}
+	r, clk, ctrs := newTestRemote(t, tr, nil)
+	timedOut := func(prompt string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		if _, err := r.Complete(ctx, prompt); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call on a hung upstream = %v, want context.DeadlineExceeded", err)
+		}
+	}
+
+	for i := 0; i < breakerThreshold; i++ {
+		timedOut(fmt.Sprintf("hung-%d", i))
+	}
+	if st := ctrs.Snapshot(); st.BreakerOpens != 1 || st.Failures != breakerThreshold {
+		t.Fatalf("after %d timed-out calls: breaker opens %d, failures %d; want 1 and %d",
+			breakerThreshold, st.BreakerOpens, st.Failures, breakerThreshold)
+	}
+	calls := tr.Calls()
+	if _, err := r.Complete(context.Background(), "while open"); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("Complete with the breaker open = %v, want ErrBreakerOpen", err)
+	}
+	if tr.Calls() != calls {
+		t.Errorf("the open breaker let %d calls through, want 0", tr.Calls()-calls)
+	}
+
+	clk.Advance(breakerCooldown + time.Second)
+	timedOut("probe")
+	if st := ctrs.Snapshot(); st.BreakerOpens != 2 {
+		t.Fatalf("breaker opens = %d after a timed-out probe, want 2", st.BreakerOpens)
+	}
+	if _, err := r.Complete(context.Background(), "reopened"); !errors.Is(err, ErrBreakerOpen) {
+		t.Errorf("Complete after the timed-out probe = %v, want ErrBreakerOpen", err)
+	}
+}
+
 // TestRemoteCtxCancelMidRetry: cancellation during a backoff wait
 // surfaces the cancellation itself — no fallback masking, no further
 // attempts.

@@ -79,11 +79,12 @@ run_listed -race -count=5 -run 'TestCapacityIsGlobalUnderConcurrentCreates|TestC
 # every fan-out width, the cancel-mid-fetch drain (exactly-once context
 # error, no goroutine leaks, zeroed in-flight gauges), and concurrent
 # fork Search/Fetch under the injected fake clock. Then the overlapped
-# rounds of a wire model (answer and search prompts sent together, same
-# output and events as the sim, errors, the join): each round starts a
+# rounds (answer and search prompts sent together, same output and
+# events on a wire model as on the sim, errors, the join, the cancelled
+# proposal of a round that ends the loop): each round starts a
 # goroutine, so these run five times.
 run_listed -race -count=1 -run 'TestRetrievalPipelineByteIdentity|TestSelfLearnSkipsDuplicateURLs|TestSelfLearnCancelNoLeak' ./internal/agent
-run_listed -race -count=5 -run 'TestWireInvestigateMatchesSim|TestWireRoundsOverlap|TestWireRoundErrors' ./internal/agent
+run_listed -race -count=5 -run 'TestWireInvestigateMatchesSim|TestWireRoundsOverlap|TestWireRoundErrors|TestWireRoundEndCancelsProposal' ./internal/agent
 go test -race -count=1 ./internal/retrieval
 run_listed -race -count=1 -run 'TestClock|TestForkConcurrentFetchWithClock' ./internal/websim
 
