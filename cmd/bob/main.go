@@ -115,7 +115,10 @@ func run(args []string) error {
 	}
 	if *showTrace {
 		fmt.Println("\n--- trace ---")
-		evs, _, _ := sess.Events(0)
+		evs, _, _, err := sess.Events(0)
+		if err != nil {
+			return err
+		}
 		enc := json.NewEncoder(os.Stdout)
 		for _, e := range evs {
 			if err := enc.Encode(e); err != nil {

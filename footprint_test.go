@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -133,9 +134,17 @@ func TestFootprintReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The session file is a head line, then one event per line.
+	dec := json.NewDecoder(bytes.NewReader(v2Data))
 	var snap session.Snapshot
-	if err := json.Unmarshal(v2Data, &snap); err != nil {
+	if err := dec.Decode(&snap); err != nil {
 		t.Fatal(err)
+	}
+	events := make([]stream.Event, snap.LogLen)
+	for i := range events {
+		if err := dec.Decode(&events[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	kpath := filepath.Join(dir, "knowledge.json")
 	if err := s.SaveMemory(ctx, kpath); err != nil {
@@ -148,7 +157,7 @@ func TestFootprintReport(t *testing.T) {
 	v1 := inlineSnapshot{
 		ID: snap.ID, Config: snap.Config, Trained: snap.Trained,
 		Created: snap.Created, Saved: snap.Saved,
-		Memory: sessItems.All(), Events: snap.Events,
+		Memory: sessItems.All(), Events: events,
 	}
 	v1Data, err := json.Marshal(v1)
 	if err != nil {

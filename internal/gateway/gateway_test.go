@@ -235,10 +235,11 @@ func TestGatewaySSEFlush(t *testing.T) {
 	addr, _ := newBackendCfg(t, cfg)
 	srv, _ := newGateway(t, addr)
 
-	// An unreachable confidence threshold forces every round, so real
+	// The top of the 0-10 confidence scale, which an untrained session
+	// does not reach in its first round, forces more rounds, so real
 	// work always remains after the first round event.
 	code, body := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		map[string]any{"id": "sse", "threshold": 100, "max_rounds": 3})
+		map[string]any{"id": "sse", "threshold": 10, "max_rounds": 3})
 	if code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, body)
 	}

@@ -18,7 +18,8 @@ import (
 //
 // and contributes the `incidents` block to GET /v1/stats. Errors use
 // the standard {"error":{"code","message"}} envelope; illegal lifecycle
-// transitions map to 409 with the invalid_state code. See API.md.
+// transitions map to 409 with the invalid_state code, and a duplicate
+// incident ID to 409 conflict. See API.md.
 type API struct {
 	Store *Store
 	// Proc contributes the leader/follower counters to the stats block;
@@ -66,7 +67,11 @@ func (a *API) file(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inc, err := a.Store.File(f)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrExists):
+		writeError(w, err)
+		return
+	case err != nil:
 		session.WriteErrorCode(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
@@ -129,6 +134,8 @@ func writeError(w http.ResponseWriter, err error) {
 		session.WriteErrorCode(w, http.StatusNotFound, "not_found", err.Error())
 	case errors.Is(err, ErrInvalidState):
 		session.WriteErrorCode(w, http.StatusConflict, "invalid_state", err.Error())
+	case errors.Is(err, ErrExists):
+		session.WriteErrorCode(w, http.StatusConflict, "conflict", err.Error())
 	default:
 		session.WriteError(w, err)
 	}

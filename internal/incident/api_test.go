@@ -153,7 +153,8 @@ func TestAPIPagination(t *testing.T) {
 }
 
 // TestAPIErrors pins the error envelope: stable codes, invalid_state on
-// illegal lifecycle transitions (409), not_found, bad_request.
+// illegal lifecycle transitions (409), conflict on a duplicate incident
+// ID (409), not_found, bad_request.
 func TestAPIErrors(t *testing.T) {
 	srv, st, _ := newTestAPI(t)
 	inc, err := st.File(Filing{Type: "t"})
@@ -179,6 +180,7 @@ func TestAPIErrors(t *testing.T) {
 		{"resolve resolved", "POST", "/v1/incidents/" + inc.ID + "/resolve", nil, http.StatusConflict, "invalid_state"},
 		{"escalate resolved", "POST", "/v1/incidents/" + inc.ID + "/escalate", nil, http.StatusConflict, "invalid_state"},
 		{"bad status filter", "GET", "/v1/incidents?status=bogus", nil, http.StatusBadRequest, "bad_request"},
+		{"file duplicate id", "POST", "/v1/incidents", Filing{ID: inc.ID, Type: "t"}, http.StatusConflict, "conflict"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -76,6 +76,9 @@ var (
 	// ErrInvalidState is returned for illegal lifecycle transitions
 	// (mapped to 409 invalid_state by the HTTP layer).
 	ErrInvalidState = errors.New("incident: invalid state")
+	// ErrExists is returned when filing under an ID already taken
+	// (mapped to 409 conflict by the HTTP layer).
+	ErrExists = errors.New("incident: already filed")
 )
 
 // Filing is a request to open an incident: the body of POST

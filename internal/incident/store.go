@@ -110,7 +110,7 @@ func (st *Store) File(f Filing) (Incident, error) {
 		}
 	} else if _, taken := st.incidents[id]; taken {
 		st.mu.Unlock()
-		return Incident{}, fmt.Errorf("incident id %s already filed", id)
+		return Incident{}, fmt.Errorf("%w: %s", ErrExists, id)
 	}
 	st.filed++
 	now := st.cfg.Clock()

@@ -132,14 +132,14 @@ const (
 // Remote is an OpenAI-compatible chat-completions client implementing
 // llm.Model, hardened for production traffic: per-attempt timeouts,
 // bounded retries with exponential backoff + jitter on 429/5xx and
-// transport errors (honoring Retry-After and context cancellation), a
-// half-open circuit breaker with optional fallback to the simulated
-// model, a bounded in-flight gate, a prompt-keyed LRU response cache,
-// singleflight coalescing of identical in-flight prompts, and optional
-// fixed-delay request hedging. Each completion is one request carrying
-// one user message; batching, where wanted, belongs to the server. All
-// time is injected, so the failure and latency paths are testable with
-// a fake clock.
+// transport errors (honoring Retry-After up to the backoff cap, and
+// context cancellation), a half-open circuit breaker with optional
+// fallback to the simulated model, a bounded in-flight gate, a
+// prompt-keyed LRU response cache, singleflight coalescing of identical
+// in-flight prompts, and optional fixed-delay request hedging. Each
+// completion is one request carrying one user message; batching, where
+// wanted, belongs to the server. All time is injected, so the failure
+// and latency paths are testable with a fake clock.
 type Remote struct {
 	cfg  RemoteConfig
 	gate chan struct{}
@@ -370,18 +370,13 @@ type retryableError struct {
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
-// complete runs the attempt/retry loop for one prompt under the
-// concurrency gate.
+// complete runs the attempt/retry loop for one prompt. Each attempt
+// holds a slot of the concurrency gate; a backoff or Retry-After wait
+// between attempts holds none, so callers told to wait never stall
+// calls that could go out.
 func (r *Remote) complete(ctx context.Context, prompt string) (string, error) {
-	select {
-	case r.gate <- struct{}{}:
-	case <-ctx.Done():
-		return "", ctx.Err()
-	}
-	defer func() { <-r.gate }()
-
 	for attempt := 0; ; attempt++ {
-		out, err := r.attemptHedged(ctx, prompt)
+		out, err := r.gatedAttempt(ctx, prompt)
 		if err == nil {
 			return out, nil
 		}
@@ -389,7 +384,9 @@ func (r *Remote) complete(ctx context.Context, prompt string) (string, error) {
 		if !errors.As(err, &re) || attempt >= maxRetries {
 			return "", err
 		}
-		wait := re.retryAfter
+		// The server's wait, capped at backoffMax: an upstream cannot park
+		// a call for longer than the client's own backoff would.
+		wait := min(re.retryAfter, backoffMax)
 		if wait <= 0 {
 			wait = r.backoff(attempt)
 		}
@@ -398,6 +395,18 @@ func (r *Remote) complete(ctx context.Context, prompt string) (string, error) {
 		}
 		r.cfg.Counters.retries.Add(1)
 	}
+}
+
+// gatedAttempt runs one logical attempt under one slot of the
+// concurrency gate, which a primary request and its hedge share.
+func (r *Remote) gatedAttempt(ctx context.Context, prompt string) (string, error) {
+	select {
+	case r.gate <- struct{}{}:
+	case <-ctx.Done():
+		return "", ctx.Err()
+	}
+	defer func() { <-r.gate }()
+	return r.attemptHedged(ctx, prompt)
 }
 
 // attemptHedged runs one logical attempt. With a positive HedgeDelay, a

@@ -283,6 +283,25 @@ func TestRemoteRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRemoteRetryAfterCapped: a Retry-After longer than backoffMax
+// waits backoffMax, so an upstream cannot park a call for an hour.
+func TestRemoteRetryAfterCapped(t *testing.T) {
+	clkStart := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, after := range []string{"3600", clkStart.Add(time.Hour).Format(http.TimeFormat)} {
+		tr := &scriptedTransport{steps: []step{
+			{status: 429, retryAfter: after},
+			{status: 200, content: "ok"},
+		}}
+		r, clk, _ := newTestRemote(t, tr, nil)
+		if out, err := r.Complete(context.Background(), "q"); err != nil || out != "ok" {
+			t.Fatalf("Retry-After %s: Complete = %q, %v", after, out, err)
+		}
+		if sleeps := clk.Sleeps(); len(sleeps) != 1 || sleeps[0] > backoffMax {
+			t.Errorf("Retry-After %s: sleeps = %v, want one of at most %v", after, sleeps, backoffMax)
+		}
+	}
+}
+
 func TestParseRetryAfter(t *testing.T) {
 	now := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
 	cases := []struct {
@@ -653,6 +672,108 @@ func TestRemoteGate(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// TestRemoteGateFreeDuringRetryAfter: a call waiting out a Retry-After
+// holds no slot of the in-flight gate. With maxInFlight calls parked in
+// that wait, the gate is empty and a new prompt completes at once.
+func TestRemoteGateFreeDuringRetryAfter(t *testing.T) {
+	clk := &parkingClock{parked: make(chan struct{}, maxInFlight), release: make(chan struct{})}
+	tr := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		body, _ := io.ReadAll(req.Body)
+		if strings.Contains(string(body), "slow-") && clk.first(string(body)) {
+			return chatReply(req, http.StatusTooManyRequests, "1", "")
+		}
+		return chatReply(req, http.StatusOK, "", "done")
+	})
+	r, _, _ := newTestRemote(t, tr, func(c *RemoteConfig) { c.Clock = clk })
+
+	var wg sync.WaitGroup
+	for i := 0; i < maxInFlight; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if out, err := r.Complete(context.Background(), fmt.Sprintf("slow-%d", i)); err != nil || out != "done" {
+				t.Errorf("retried call %d = %q, %v", i, out, err)
+			}
+		}(i)
+	}
+	for i := 0; i < maxInFlight; i++ {
+		<-clk.parked // every caller is waiting out its Retry-After
+	}
+	if n := len(r.gate); n != 0 {
+		t.Errorf("%d gate slots held by callers waiting out a Retry-After, want 0", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if out, err := r.Complete(ctx, "fresh"); err != nil || out != "done" {
+		t.Errorf("new prompt beside %d parked callers = %q, %v", maxInFlight, out, err)
+	}
+	close(clk.release)
+	wg.Wait()
+}
+
+// parkingClock is a Clock whose Sleep parks until released; first
+// reports whether a request body is seen for the first time.
+type parkingClock struct {
+	parked  chan struct{}
+	release chan struct{}
+	mu      sync.Mutex
+	seen    map[string]bool
+}
+
+func (c *parkingClock) Now() time.Time { return time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC) }
+
+func (c *parkingClock) Sleep(ctx context.Context, d time.Duration) error {
+	c.parked <- struct{}{}
+	select {
+	case <-c.release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (c *parkingClock) first(body string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.seen[body] {
+		return false
+	}
+	if c.seen == nil {
+		c.seen = map[string]bool{}
+	}
+	c.seen[body] = true
+	return true
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// chatReply is a chat-completions response: content under status 200,
+// otherwise an error body with an optional Retry-After.
+func chatReply(req *http.Request, status int, retryAfter, content string) (*http.Response, error) {
+	h := http.Header{}
+	if retryAfter != "" {
+		h.Set("Retry-After", retryAfter)
+	}
+	payload := fmt.Sprintf(`{"error":{"message":"status %d"}}`, status)
+	if status == http.StatusOK {
+		resp := chatResponse{}
+		resp.Choices = append(resp.Choices, struct {
+			Message chatMessage `json:"message"`
+		}{Message: chatMessage{Role: "assistant", Content: content}})
+		b, _ := json.Marshal(resp)
+		payload = string(b)
+	}
+	return &http.Response{
+		StatusCode: status,
+		Status:     fmt.Sprintf("%d %s", status, http.StatusText(status)),
+		Header:     h,
+		Body:       io.NopCloser(strings.NewReader(payload)),
+		Request:    req,
+	}, nil
 }
 
 // blockingTransport holds every request until released, then answers 200.

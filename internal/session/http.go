@@ -40,6 +40,15 @@ type CreateRequest struct {
 	Train bool `json:"train,omitempty"`
 }
 
+// Limits on a create request's agent settings. Confidence runs 0-10, so
+// a higher threshold is never met; maxRoundsLimit is four times the
+// default round budget (agent.Config.MaxRounds). Zero means the default
+// for both.
+const (
+	maxThreshold   = 10
+	maxRoundsLimit = 16
+)
+
 // CreateResponse is the reply to POST /sessions.
 type CreateResponse struct {
 	Status
@@ -231,6 +240,14 @@ func Handler(m *Manager, exts ...Extension) http.Handler {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
+		if req.Threshold < 0 || req.Threshold > maxThreshold {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("threshold %d outside 0-%d", req.Threshold, maxThreshold))
+			return
+		}
+		if req.MaxRounds < 0 || req.MaxRounds > maxRoundsLimit {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("max_rounds %d outside 0-%d", req.MaxRounds, maxRoundsLimit))
+			return
+		}
 		cfg := m.cfg.Defaults
 		if req.Seed != nil {
 			cfg.Seed = *req.Seed
@@ -384,7 +401,11 @@ func Handler(m *Manager, exts ...Extension) http.Handler {
 			writeError(w, err)
 			return
 		}
-		evs, _, _ := s.Events(0)
+		evs, _, _, err := s.Events(0)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		writeJSON(w, http.StatusOK, TraceResponse{Events: evs})
 	})
 

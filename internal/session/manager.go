@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -283,7 +284,7 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 		m.abort(id, e, err)
 		return nil, err
 	}
-	s, err := newSession(id, cfg, nil, &m.use, m.now)
+	s, err := newSession(id, cfg, eventLog{}, &m.use, m.now)
 	if err != nil {
 		m.unreserve()
 		m.abort(id, e, err)
@@ -792,9 +793,9 @@ func (m *Manager) writeSnapshot(s *Session) (string, error) {
 	return m.writeSnapshotData(s.id, s.snapshotLocked())
 }
 
-// writeSnapshotData encodes snap compactly straight into a temp file
-// and renames it over the session's file (persist.WriteFile). Callers
-// hold the stripe flush lock, which serializes same-ID writes.
+// writeSnapshotData writes snap (Snapshot.encode) into a temp file and
+// renames it over the session's file (persist.WriteFile). Callers hold
+// the stripe flush lock, which serializes same-ID writes.
 func (m *Manager) writeSnapshotData(id string, snap Snapshot) (string, error) {
 	m.mkdirOnce.Do(func() { m.mkdirErr = os.MkdirAll(m.cfg.SnapshotDir, 0o755) })
 	if m.mkdirErr != nil {
@@ -806,21 +807,26 @@ func (m *Manager) writeSnapshotData(id string, snap Snapshot) (string, error) {
 		return "", err
 	}
 	path := m.snapshotPath(id)
-	if err := persist.WriteFile(path, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(snap)
-	}); err != nil {
+	if err := persist.WriteFile(path, snap.encode); err != nil {
 		return "", fmt.Errorf("session: write snapshot: %w", err)
 	}
 	return path, nil
 }
 
-// snapshotSchema is the one schema snapshots are written and read in:
-// the memory is segment references plus delta items (an untrained
-// session has no segments, so its whole memory is the delta), and the
-// session's event log rides along. readSnapshot refuses every other
-// value, including schema 2, the same shape before the log was
+// snapshotSchema is the one schema snapshots are written in. A session
+// file is a head line — the config, the memory as segment references
+// plus delta items (an untrained session has no segments, so its whole
+// memory is the delta), and log_first and log_len — followed by the
+// session's event log, log_len compact JSON lines with IDs log_first,
+// log_first+1, ... A restore decodes the head only and keeps the lines
+// raw (eventLog). readSnapshot also reads schema 3, the same state as
+// one JSON object with the log inline as "events", and refuses every
+// other value, including schema 2, written before the log was
 // persisted.
-const snapshotSchema = 3
+const (
+	snapshotSchema   = 4
+	snapshotSchemaV3 = 3
+)
 
 // SegmentRef names one attached memory segment in a snapshot. The
 // items themselves live once per segment in
@@ -834,39 +840,82 @@ type SegmentRef struct {
 
 // Snapshot is the on-disk form of a session: everything needed to
 // rebuild an identical agent — its configuration, knowledge memory,
-// event log and lifecycle state.
+// event log and lifecycle state. Its fields are the file's head line;
+// the event log follows the head.
 type Snapshot struct {
-	ID       string         `json:"id"`
-	Schema   int            `json:"schema"`
-	Config   Config         `json:"config"`
-	Trained  bool           `json:"trained"`
-	Created  time.Time      `json:"created"`
-	Saved    time.Time      `json:"saved"`
-	Segments []SegmentRef   `json:"segments,omitempty"`
-	Delta    []memory.Item  `json:"delta,omitempty"`
-	Events   []stream.Event `json:"events,omitempty"`
+	ID       string        `json:"id"`
+	Schema   int           `json:"schema"`
+	Config   Config        `json:"config"`
+	Trained  bool          `json:"trained"`
+	Created  time.Time     `json:"created"`
+	Saved    time.Time     `json:"saved"`
+	Segments []SegmentRef  `json:"segments,omitempty"`
+	Delta    []memory.Item `json:"delta,omitempty"`
+	// LogFirst is the ID of the log's first event (the next ID when the
+	// log is empty) and LogLen the number of event lines after the head.
+	LogFirst int64 `json:"log_first"`
+	LogLen   int   `json:"log_len"`
 
+	// log is the event log itself. Never serialized with the head.
+	log eventLog
 	// segs carries the live segment pointers alongside the refs from
 	// snapshotLocked to the write, so persistSegments can write each
 	// segment's items. Never serialized.
 	segs []*memory.Segment
 }
 
+// encode writes snap as a schema-4 file, in one write: the head line,
+// the log's raw lines unchanged, then one line per decoded event.
+func (snap *Snapshot) encode(w io.Writer) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(snap); err != nil {
+		return err
+	}
+	buf.Write(snap.log.raw)
+	for _, e := range snap.log.evs {
+		if err := enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
+// readSnapshot reads a session file. A schema-4 log is checked by
+// scanLog and kept raw; a schema-3 log is decoded and checked by
+// checkLog.
 func readSnapshot(path string) (Snapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	defer f.Close()
+	dec := json.NewDecoder(bytes.NewReader(data))
 	var snap Snapshot
-	if err := json.NewDecoder(f).Decode(&snap); err != nil {
+	if err := dec.Decode(&snap); err != nil {
 		return Snapshot{}, fmt.Errorf("session: parse snapshot %s: %w", path, err)
 	}
-	if snap.Schema != snapshotSchema {
-		return Snapshot{}, fmt.Errorf("session: snapshot %s has schema %d, want %d", path, snap.Schema, snapshotSchema)
-	}
-	if err := checkLog(snap.Events); err != nil {
-		return Snapshot{}, fmt.Errorf("session: snapshot %s: event log: %w", path, err)
+	head := data[:dec.InputOffset()]
+	switch snap.Schema {
+	case snapshotSchema:
+		raw, err := scanLog(data[len(head):], snap.LogFirst, snap.LogLen)
+		if err != nil {
+			return Snapshot{}, fmt.Errorf("session: snapshot %s: event log: %w", path, err)
+		}
+		snap.log = eventLog{raw: raw, rawN: snap.LogLen, first: snap.LogFirst, src: path}
+	case snapshotSchemaV3:
+		var v3 struct {
+			Events []stream.Event `json:"events"`
+		}
+		if err := json.Unmarshal(head, &v3); err != nil {
+			return Snapshot{}, fmt.Errorf("session: parse snapshot %s: %w", path, err)
+		}
+		if err := checkLog(v3.Events); err != nil {
+			return Snapshot{}, fmt.Errorf("session: snapshot %s: event log: %w", path, err)
+		}
+		snap.log = eventLog{evs: v3.Events}
+	default:
+		return Snapshot{}, fmt.Errorf("session: snapshot %s has schema %d, want %d (or %d)", path, snap.Schema, snapshotSchema, snapshotSchemaV3)
 	}
 	return snap, nil
 }
@@ -877,7 +926,7 @@ func readSnapshot(path string) (Snapshot, error) {
 // segment reference to a live segment (intern table first, segment file
 // second).
 func (snap Snapshot) restore(resolve func(SegmentRef) (*memory.Segment, error), use *atomic.Int64, now func() time.Time) (*Session, error) {
-	s, err := newSession(snap.ID, snap.Config, snap.Events, use, now)
+	s, err := newSession(snap.ID, snap.Config, snap.log, use, now)
 	if err != nil {
 		return nil, err
 	}

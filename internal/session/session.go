@@ -84,9 +84,9 @@ type Status struct {
 	LastUsed    time.Time `json:"last_used"`
 }
 
-// newSession builds a session whose event log starts as log (nil for a
-// new session, the snapshot's retained events for a restored one).
-func newSession(id string, cfg Config, log []stream.Event, use *atomic.Int64, now func() time.Time) (*Session, error) {
+// newSession builds a session whose event log starts as log (empty for
+// a new session, the snapshot's retained events for a restored one).
+func newSession(id string, cfg Config, log eventLog, use *atomic.Int64, now func() time.Time) (*Session, error) {
 	cfg = cfg.withDefaults()
 	a, eng, err := NewAgent(cfg)
 	if err != nil {
@@ -319,17 +319,19 @@ func (s *Session) snapshotLocked() Snapshot {
 	trained := s.trained
 	s.st.Unlock()
 	segs, delta := s.agent.Memory.Parts()
-	log, _, _ := s.events.readAfter(0)
+	log, first := s.events.snapshot()
 	snap := Snapshot{
-		ID:      s.id,
-		Schema:  snapshotSchema,
-		Config:  s.cfg,
-		Trained: trained,
-		Created: s.created,
-		Saved:   s.now(),
-		Delta:   delta,
-		Events:  log,
-		segs:    segs,
+		ID:       s.id,
+		Schema:   snapshotSchema,
+		Config:   s.cfg,
+		Trained:  trained,
+		Created:  s.created,
+		Saved:    s.now(),
+		Delta:    delta,
+		LogFirst: first,
+		LogLen:   log.len(),
+		log:      log,
+		segs:     segs,
 	}
 	for _, seg := range segs {
 		snap.Segments = append(snap.Segments, SegmentRef{

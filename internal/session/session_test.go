@@ -155,7 +155,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if len(s.Sources()) == 0 {
 		t.Error("no sources after training")
 	}
-	if evs, _, _ := s.Events(0); len(evs) == 0 || s.Status().TraceEvents != s.LastEventID() {
+	if evs, _, _, err := s.Events(0); err != nil || len(evs) == 0 || s.Status().TraceEvents != s.LastEventID() {
 		t.Errorf("event log holds %d events, status counts %d, LastEventID %d", len(evs), s.Status().TraceEvents, s.LastEventID())
 	}
 }
@@ -205,24 +205,24 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("snapshot file missing: %v", err)
 	}
-	log, _, _ := s.Events(0)
-	if len(log) == 0 {
+	log, _, _, err := s.Events(0)
+	if err != nil || len(log) == 0 {
 		t.Fatal("no events before the snapshot")
 	}
 	// checkResumed: restored holds exactly the log from before the
 	// snapshot, and its next ask is recorded right after it.
 	checkResumed := func(how string, restored *Session) {
 		t.Helper()
-		if got, _, _ := restored.Events(0); !reflect.DeepEqual(got, log) {
-			t.Errorf("%s: restored log differs:\nbefore %+v\nafter  %+v", how, log, got)
+		if got, _, _, err := restored.Events(0); err != nil || !reflect.DeepEqual(got, log) {
+			t.Errorf("%s: restored log differs (%v):\nbefore %+v\nafter  %+v", how, err, log, got)
 		}
 		last := log[len(log)-1].ID
 		if _, err := restored.Ask(ctx, "Why are undersea cables vulnerable?"); err != nil {
 			t.Fatal(err)
 		}
-		next, _, _ := restored.Events(last)
-		if len(next) == 0 || next[0].Type != stream.EventOp || next[0].ID != last+1 {
-			t.Errorf("%s: next ask recorded as %+v, want an op event with ID %d", how, next, last+1)
+		next, _, _, err := restored.Events(last)
+		if err != nil || len(next) == 0 || next[0].Type != stream.EventOp || next[0].ID != last+1 {
+			t.Errorf("%s: next ask recorded as %+v (%v), want an op event with ID %d", how, next, err, last+1)
 		}
 	}
 

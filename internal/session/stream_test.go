@@ -134,7 +134,7 @@ func TestStreamInvestigateOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evs, closed, _ := s.Events(0)
+	evs, closed, _, _ := s.Events(0)
 	if closed {
 		t.Fatal("event stream closed while session alive")
 	}
@@ -295,7 +295,7 @@ func TestStreamCancelMidInvestigation(t *testing.T) {
 	if _, err := s.Investigate(ctx, vulnQuestion); err == nil {
 		t.Fatal("investigate should fail once its context is cancelled")
 	}
-	evs, _, _ := s.Events(0)
+	evs, _, _, _ := s.Events(0)
 	if len(evs) == 0 {
 		t.Fatal("no events buffered")
 	}
@@ -420,12 +420,12 @@ func TestStreamNoGoroutineLeaks(t *testing.T) {
 // trims from the front while keeping IDs contiguous and resume tokens
 // meaningful.
 func TestEventBufferOverflow(t *testing.T) {
-	b := newEventBuffer(nil)
+	b := newEventBuffer(eventLog{})
 	total := eventBufferCap + 300
 	for i := 0; i < total; i++ {
 		b.publish(stream.Event{Type: "x"})
 	}
-	evs, closed, _ := b.readAfter(0)
+	evs, closed, _, _ := b.readAfter(0)
 	if closed {
 		t.Fatal("buffer reported closed")
 	}
@@ -443,24 +443,24 @@ func TestEventBufferOverflow(t *testing.T) {
 	// Resuming from inside the dropped prefix starts at the oldest
 	// retained event.
 	first := evs[0].ID
-	got, _, _ := b.readAfter(first - 100)
+	got, _, _, _ := b.readAfter(first - 100)
 	if len(got) != len(evs) || got[0].ID != first {
 		t.Fatalf("resume from dropped prefix: %d events from %d, want %d from %d", len(got), got[0].ID, len(evs), first)
 	}
 	// Resuming from the tail yields nothing until the next publish.
-	if got, _, _ := b.readAfter(int64(total)); len(got) != 0 {
+	if got, _, _, _ := b.readAfter(int64(total)); len(got) != 0 {
 		t.Fatalf("resume at tail returned %d events", len(got))
 	}
 	// A token beyond the tail clamps to it.
-	if got, _, _ := b.readAfter(int64(total) + 5000); len(got) != 0 {
+	if got, _, _, _ := b.readAfter(int64(total) + 5000); len(got) != 0 {
 		t.Fatalf("resume beyond tail returned %d events", len(got))
 	}
 	b.publish(stream.Event{Type: "y"})
-	if got, _, _ := b.readAfter(int64(total)); len(got) != 1 || got[0].Type != "y" {
+	if got, _, _, _ := b.readAfter(int64(total)); len(got) != 1 || got[0].Type != "y" {
 		t.Fatalf("post-publish resume: %+v", got)
 	}
 	// close() wakes waiters and is idempotent; publish after close drops.
-	_, _, change := b.readAfter(b.last())
+	_, _, change, _ := b.readAfter(b.last())
 	b.close()
 	select {
 	case <-change:
@@ -469,7 +469,7 @@ func TestEventBufferOverflow(t *testing.T) {
 	}
 	b.close()
 	b.publish(stream.Event{Type: "z"})
-	if evs, closed, _ := b.readAfter(int64(total)); !closed || len(evs) != 1 {
+	if evs, closed, _, _ := b.readAfter(int64(total)); !closed || len(evs) != 1 {
 		t.Fatalf("after close: closed=%v len=%d", closed, len(evs))
 	}
 }
@@ -478,10 +478,10 @@ func TestEventBufferOverflow(t *testing.T) {
 // publish order and read back with their fields intact; readAfter
 // returns only the events after its cursor.
 func TestEventBufferAddAndEvents(t *testing.T) {
-	b := newEventBuffer(nil)
+	b := newEventBuffer(eventLog{})
 	b.publish(stream.Event{Type: stream.EventSearch, Query: "solar", Results: 3})
 	b.publish(stream.Event{Type: stream.EventFetch, URL: "https://x.example/a", Query: "solar"})
-	evs, _, _ := b.readAfter(0)
+	evs, _, _, _ := b.readAfter(0)
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
@@ -497,7 +497,7 @@ func TestEventBufferAddAndEvents(t *testing.T) {
 	if b.last() != 2 {
 		t.Errorf("LastEventID = %d, want 2", b.last())
 	}
-	if got, _, _ := b.readAfter(1); len(got) != 1 || got[0].ID != 2 {
+	if got, _, _, _ := b.readAfter(1); len(got) != 1 || got[0].ID != 2 {
 		t.Errorf("readAfter(1) = %+v, want the event with ID 2", got)
 	}
 }
@@ -509,20 +509,20 @@ func TestEventBufferAddAndEvents(t *testing.T) {
 func TestEventBufferFromEvents(t *testing.T) {
 	log := []stream.Event{{ID: 300, Type: stream.EventOp, Arg: "q"}, {ID: 301, Type: stream.EventAnswer, Terminal: true}}
 	orig := append([]stream.Event(nil), log...)
-	b := newEventBuffer(log)
+	b := newEventBuffer(eventLog{evs: log})
 	if b.last() != 301 {
 		t.Fatalf("restored LastEventID = %d, want 301", b.last())
 	}
-	got, _, _ := b.readAfter(0)
+	got, _, _, _ := b.readAfter(0)
 	if !reflect.DeepEqual(got, log) {
 		t.Fatalf("restored buffer holds %+v, want %+v", got, log)
 	}
 	got[0].Arg = "changed"
-	if again, _, _ := b.readAfter(0); again[0].Arg != "q" {
+	if again, _, _, _ := b.readAfter(0); again[0].Arg != "q" {
 		t.Errorf("mutating a read reached the buffer: %+v", again[0])
 	}
 	b.publish(stream.Event{Type: stream.EventOp})
-	if got, _, _ := b.readAfter(301); len(got) != 1 || got[0].ID != 302 {
+	if got, _, _, _ := b.readAfter(301); len(got) != 1 || got[0].ID != 302 {
 		t.Fatalf("next event after restore: %+v, want ID 302", got)
 	}
 	for range eventBufferCap {
@@ -538,21 +538,76 @@ func TestEventBufferFromEvents(t *testing.T) {
 // and numbers its first event 1.
 func TestEventBufferFromEventsEmpty(t *testing.T) {
 	for name, log := range map[string][]stream.Event{"nil": nil, "empty": {}} {
-		b := newEventBuffer(log)
+		b := newEventBuffer(eventLog{evs: log})
 		if b.last() != 0 {
 			t.Fatalf("%s: LastEventID = %d, want 0", name, b.last())
 		}
 		b.publish(stream.Event{Type: "x"})
-		if evs, _, _ := b.readAfter(0); len(evs) != 1 || evs[0].ID != 1 {
+		if evs, _, _, _ := b.readAfter(0); len(evs) != 1 || evs[0].ID != 1 {
 			t.Fatalf("%s: first event %+v, want one event with ID 1", name, evs)
 		}
+	}
+}
+
+// TestEventBufferRawTrim: a buffer restored from raw log lines trims
+// past capacity by cutting whole lines, without decoding them. IDs stay
+// contiguous, right after the trim readAfter(0) returns the newest
+// half, and the lines it was restored from are never changed in place.
+func TestEventBufferRawTrim(t *testing.T) {
+	log := make([]stream.Event, 500)
+	for i := range log {
+		log[i] = stream.Event{ID: int64(1001 + i), Type: stream.EventObservation, Text: fmt.Sprintf("step %d", i)}
+	}
+	path := filepath.Join(t.TempDir(), "trim.json")
+	if err := os.WriteFile(path, []byte(encodeSnapshot(t, Snapshot{ID: "trim"}, log)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := readSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := newEventBuffer(snap.log)
+	for range eventBufferCap + 1 - len(log) {
+		b.publish(stream.Event{Type: "x"})
+	}
+	if b.log.rawN != len(log)-(eventBufferCap/2+1) || len(b.log.evs) != eventBufferCap+1-len(log) {
+		t.Fatalf("trim left %d raw lines and %d decoded events, want the oldest lines cut undecoded", b.log.rawN, len(b.log.evs))
+	}
+	evs, _, _, err := b.readAfter(0)
+	if err != nil || len(evs) != eventBufferCap/2 {
+		t.Fatalf("readAfter(0) after the trim: %d events, %v; want %d", len(evs), err, eventBufferCap/2)
+	}
+	for i, e := range evs {
+		if want := b.last() - int64(len(evs)-1-i); e.ID != want {
+			t.Fatalf("event %d has ID %d, want %d", i, e.ID, want)
+		}
+	}
+	if !reflect.DeepEqual(evs[:len(log)-(eventBufferCap/2+1)], log[eventBufferCap/2+1:]) {
+		t.Error("the retained raw lines decode to other events than were written")
+	}
+
+	// A second buffer over the same lines trims through all of them.
+	b = newEventBuffer(snap.log)
+	for range 2 * eventBufferCap {
+		b.publish(stream.Event{Type: "x"})
+	}
+	evs, _, _, err = b.readAfter(0)
+	if err != nil || len(evs) < eventBufferCap/2 || len(evs) > eventBufferCap || evs[len(evs)-1].ID != b.last() || b.last() != 1000+int64(len(log)+2*eventBufferCap) {
+		t.Fatalf("after trimming every raw line: %d events ending at %d, LastEventID %d, %v", len(evs), evs[len(evs)-1].ID, b.last(), err)
+	}
+	if checkLog(evs) != nil {
+		t.Errorf("trimmed log: %v", checkLog(evs))
+	}
+	if again, _, _, err := newEventBuffer(snap.log).readAfter(0); err != nil || !reflect.DeepEqual(again, log) {
+		t.Errorf("trimming changed the restored lines in place (%v)", err)
 	}
 }
 
 // TestEventBufferConcurrentAdd: concurrent publishers never produce a
 // gap or a duplicate ID, and every publish is recorded.
 func TestEventBufferConcurrentAdd(t *testing.T) {
-	b := newEventBuffer(nil)
+	b := newEventBuffer(eventLog{})
 	const writers, each = 10, 50 // fewer than eventBufferCap: nothing trims
 	var wg sync.WaitGroup
 	for range writers {
@@ -565,7 +620,7 @@ func TestEventBufferConcurrentAdd(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	evs, _, _ := b.readAfter(0)
+	evs, _, _, _ := b.readAfter(0)
 	if len(evs) != writers*each || b.last() != writers*each {
 		t.Fatalf("recorded %d events, LastEventID %d, want %d", len(evs), b.last(), writers*each)
 	}
@@ -581,7 +636,7 @@ func TestEventBufferConcurrentAdd(t *testing.T) {
 // order; run under -race this is the proof the log is safe to share
 // between a session's operations and its subscribers.
 func TestEventBufferConcurrentReadersAndWriters(t *testing.T) {
-	b := newEventBuffer(nil)
+	b := newEventBuffer(eventLog{})
 	const writers, each, readers = 4, 100, 3 // fewer than eventBufferCap: nothing trims
 	stop := make(chan struct{})
 	readErr := make(chan error, readers)
@@ -589,7 +644,7 @@ func TestEventBufferConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			var after int64
 			for {
-				evs, _, change := b.readAfter(after)
+				evs, _, change, _ := b.readAfter(after)
 				for _, e := range evs {
 					if e.ID != after+1 {
 						readErr <- fmt.Errorf("reader saw ID %d after %d", e.ID, after)
@@ -627,7 +682,7 @@ func TestEventBufferConcurrentReadersAndWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evs, _, _ := b.readAfter(0)
+	evs, _, _, _ := b.readAfter(0)
 	if len(evs) != writers*each || b.last() != writers*each {
 		t.Fatalf("recorded %d events, LastEventID %d, want %d", len(evs), b.last(), writers*each)
 	}
@@ -652,11 +707,8 @@ func FuzzEventsResume(f *testing.F) {
 		log[i] = stream.Event{ID: int64(41 + i), Type: stream.EventObservation, Text: fmt.Sprintf("step %d", i)}
 	}
 	log[9] = stream.Event{ID: 50, Type: stream.EventAnswer, Text: "mid-log answer", Terminal: true}
-	data, err := json.Marshal(Snapshot{ID: "resume", Schema: snapshotSchema, Config: Config{Seed: 42}, Events: log})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "resume.json"), data, 0o644); err != nil {
+	data := encodeSnapshot(f, Snapshot{ID: "resume", Config: Config{Seed: 42}}, log)
+	if err := os.WriteFile(filepath.Join(dir, "resume.json"), []byte(data), 0o644); err != nil {
 		f.Fatal(err)
 	}
 	m := newTestManager(f, ManagerConfig{SnapshotDir: dir})

@@ -168,6 +168,38 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestHTTPCreateLimits: a create whose threshold lies outside the 0-10
+// confidence scale, or whose max_rounds lies outside 0 to
+// maxRoundsLimit, is answered 400 bad_request and creates nothing; the
+// limits themselves are accepted.
+func TestHTTPCreateLimits(t *testing.T) {
+	srv, _ := newTestServer(t, ManagerConfig{})
+	for _, c := range []struct {
+		req  CreateRequest
+		want int
+	}{
+		{CreateRequest{ID: "t11", Threshold: 11}, http.StatusBadRequest},
+		{CreateRequest{ID: "tneg", Threshold: -1}, http.StatusBadRequest},
+		{CreateRequest{ID: "r17", MaxRounds: 17}, http.StatusBadRequest},
+		{CreateRequest{ID: "rneg", MaxRounds: -1}, http.StatusBadRequest},
+		{CreateRequest{ID: "t10", Threshold: 10}, http.StatusCreated},
+		{CreateRequest{ID: "r16", MaxRounds: 16}, http.StatusCreated},
+	} {
+		code, body := doJSON(t, "POST", srv.URL+"/v1/sessions", c.req)
+		if code != c.want {
+			t.Errorf("create %+v: %d %s, want %d", c.req, code, body, c.want)
+		}
+		if code == http.StatusBadRequest {
+			if e := decode[ErrorResponse](t, body).Error; e.Code != "bad_request" || e.Message == "" {
+				t.Errorf("create %+v: envelope %s, want code bad_request", c.req, body)
+			}
+		}
+		if got, _ := doJSON(t, "GET", srv.URL+"/v1/sessions/"+c.req.ID, nil); (got == http.StatusOK) != (c.want == http.StatusCreated) {
+			t.Errorf("create %+v answered %d, but the session lookup answers %d", c.req, code, got)
+		}
+	}
+}
+
 // TestHTTPStats exercises GET /v1/stats: the namespaced top-level
 // blocks documented in API.md, with the manager lifecycle counters
 // under "sessions" and the LLM counters under "backend".

@@ -56,24 +56,27 @@ run_listed -race -count=1 -run 'TestStream|TestEventBuffer' ./internal/session
 
 # The segmented memory tier: overlay-vs-combined BM25 byte-identity,
 # store concurrency (Clone-vs-Add, KnowledgeText-vs-ReplaceItems, the
-# never-stale version-tag contract) and the one snapshot schema (schema
-# 3 written for trained and untrained sessions and the only one read,
-# sanitized deltas, schema 2, other schemas and malformed event logs
-# refused), all under the race detector; then the footprint acceptance
-# gate (>= 5x residency reduction, smaller snapshots, warm-ask guard).
+# never-stale version-tag contract) and the one snapshot schema written
+# (schema 4, a head line and then the event log as JSON lines, for
+# trained and untrained sessions; schema 3 still read; the log kept
+# undecoded until a history read; sanitized deltas; schema 2, other
+# schemas and malformed event logs refused), all under the race
+# detector; then the footprint acceptance gate (>= 5x residency
+# reduction, smaller snapshots, warm-ask guard).
 run_listed -race -count=1 -run 'TestOverlay|TestFreeze' ./internal/index
 run_listed -race -count=1 -run 'TestSealDelta|TestCloneShares|TestCloneVsAddRace|TestKnowledgeTextVsReplaceRace|TestKnowledgeTextNeverStale|TestReplaceItemsSanitizes|TestRestoreParts|TestIntern' ./internal/memory ./internal/evalcache
-run_listed -race -count=1 -run 'TestSnapshotV2|TestSnapshotRestoreColdProcess|TestSnapshotSchemaRefused|TestStatsReportSegments' ./internal/session
+run_listed -race -count=1 -run 'TestSnapshotV2|TestSnapshotRestoreColdProcess|TestSnapshotSchemaRefused|TestSnapshotSchema3Restores|TestSnapshotLogLazy|TestStatsReportSegments' ./internal/session
 run_listed -count=1 -run 'TestFootprintReport' .
 
 # Eviction and restore: each eviction queues its snapshot write on the
 # writer pool, and a restore of a pending ID lands that write before it
 # reads the file; Close frees its slot before it releases the session,
-# and Create refuses an ID whose snapshot is pending or on disk. When
-# the pool runs a write decides the interleaving, and one pass of go
-# test -race ./... rarely varies it, so these run five times under the
-# race detector.
-run_listed -race -count=5 -run 'TestCapacityIsGlobalUnderConcurrentCreates|TestConcurrentRestoreSingleflight|TestFlushBarrierLandsEvictionWrites|TestEvictionAfterShutdownWritesInline|TestRestoreAfterEvictionReadsLatestSnapshot|TestRestoreReserveFailureKeepsSnapshot|TestEvictionWriteFailureLosesNothing|TestCloseOfSessionClosedUnderLookup|TestHTTPDeleteDrainedSession|TestCloseFreesItsSlotOnce|TestCreateRefusesPersistedID|TestCreateGeneratedIDSkipsPersisted|TestGetRetriesAfterWithdrawnCreate' ./internal/session
+# and Create refuses an ID whose snapshot is pending or on disk; a
+# restored session's eviction writes its undecoded log lines back byte
+# for byte. When the pool runs a write decides the interleaving, and
+# one pass of go test -race ./... rarely varies it, so these run five
+# times under the race detector.
+run_listed -race -count=5 -run 'TestCapacityIsGlobalUnderConcurrentCreates|TestConcurrentRestoreSingleflight|TestFlushBarrierLandsEvictionWrites|TestEvictionAfterShutdownWritesInline|TestRestoreAfterEvictionReadsLatestSnapshot|TestRestoreReserveFailureKeepsSnapshot|TestEvictionWriteFailureLosesNothing|TestCloseOfSessionClosedUnderLookup|TestHTTPDeleteDrainedSession|TestCloseFreesItsSlotOnce|TestCreateRefusesPersistedID|TestCreateGeneratedIDSkipsPersisted|TestGetRetriesAfterWithdrawnCreate|TestRestoreEvictKeepsLogBytes' ./internal/session
 
 # The retrieval pipeline: byte-identity of memory/events/investigation at
 # every fan-out width, the cancel-mid-fetch drain (exactly-once context
