@@ -891,29 +891,26 @@ func readSnapshot(path string) (Snapshot, error) {
 		return Snapshot{}, err
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
-	var snap Snapshot
-	if err := dec.Decode(&snap); err != nil {
+	var file struct {
+		Snapshot
+		Events []stream.Event `json:"events"` // schema 3's inline log
+	}
+	if err := dec.Decode(&file); err != nil {
 		return Snapshot{}, fmt.Errorf("session: parse snapshot %s: %w", path, err)
 	}
-	head := data[:dec.InputOffset()]
+	snap := file.Snapshot
 	switch snap.Schema {
 	case snapshotSchema:
-		raw, err := scanLog(data[len(head):], snap.LogFirst, snap.LogLen)
+		raw, err := scanLog(data[dec.InputOffset():], snap.LogFirst, snap.LogLen)
 		if err != nil {
 			return Snapshot{}, fmt.Errorf("session: snapshot %s: event log: %w", path, err)
 		}
 		snap.log = eventLog{raw: raw, rawN: snap.LogLen, first: snap.LogFirst, src: path}
 	case snapshotSchemaV3:
-		var v3 struct {
-			Events []stream.Event `json:"events"`
-		}
-		if err := json.Unmarshal(head, &v3); err != nil {
-			return Snapshot{}, fmt.Errorf("session: parse snapshot %s: %w", path, err)
-		}
-		if err := checkLog(v3.Events); err != nil {
+		if err := checkLog(file.Events); err != nil {
 			return Snapshot{}, fmt.Errorf("session: snapshot %s: event log: %w", path, err)
 		}
-		snap.log = eventLog{evs: v3.Events}
+		snap.log = eventLog{evs: file.Events}
 	default:
 		return Snapshot{}, fmt.Errorf("session: snapshot %s has schema %d, want %d (or %d)", path, snap.Schema, snapshotSchema, snapshotSchemaV3)
 	}

@@ -11,8 +11,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/stream"
 )
 
 // askedSnapshot writes the snapshot of a trained session that has
@@ -39,9 +37,9 @@ func askedSnapshot(t *testing.T, dir, id string) string {
 	return path
 }
 
-// snapshotParts reads a schema-4 session file and returns its head and
-// its event log lines.
-func snapshotParts(t *testing.T, path string) (Snapshot, []byte) {
+// snapshotParts reads a schema-4 session file and returns the whole
+// file, its head, and its event log lines, undecoded.
+func snapshotParts(t *testing.T, path string) ([]byte, Snapshot, []byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -52,24 +50,7 @@ func snapshotParts(t *testing.T, path string) (Snapshot, []byte) {
 	if err := json.Unmarshal(head, &snap); err != nil {
 		t.Fatal(err)
 	}
-	return snap, log
-}
-
-// decodeLines decodes one event per line.
-func decodeLines(t *testing.T, log []byte) []stream.Event {
-	t.Helper()
-	var evs []stream.Event
-	for _, line := range bytes.SplitAfter(log, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var e stream.Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		evs = append(evs, e)
-	}
-	return evs
+	return data, snap, log
 }
 
 // TestRestoreEvictKeepsLogBytes: a restored session that records new
@@ -80,7 +61,7 @@ func TestRestoreEvictKeepsLogBytes(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	path := askedSnapshot(t, dir, "keep")
-	head, log := snapshotParts(t, path)
+	_, head, log := snapshotParts(t, path)
 
 	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: dir})
 	s, err := m.Get("keep")
@@ -102,11 +83,11 @@ func TestRestoreEvictKeepsLogBytes(t *testing.T) {
 	}
 	m.Flush()
 
-	evicted, evictedLog := snapshotParts(t, path)
+	data, evicted, evictedLog := snapshotParts(t, path)
 	if !bytes.HasPrefix(evictedLog, log) {
 		t.Fatalf("eviction rewrote the restored log lines:\nbefore %.300s\nafter  %.300s", log, evictedLog)
 	}
-	if got := decodeLines(t, evictedLog[len(log):]); !reflect.DeepEqual(got, added) {
+	if got := splitSnapshot(t, data, &Snapshot{})[head.LogLen:]; !reflect.DeepEqual(got, added) {
 		t.Errorf("lines after the restored log:\n got %+v\nwant %+v", got, added)
 	}
 	if evicted.LogFirst != head.LogFirst || evicted.LogLen != head.LogLen+len(added) {
@@ -120,7 +101,7 @@ func TestRestoreEvictKeepsLogBytes(t *testing.T) {
 	if _, err := m.Snapshot(ctx, "keep"); err != nil {
 		t.Fatal(err)
 	}
-	if _, again := snapshotParts(t, path); !bytes.Equal(again, evictedLog) {
+	if _, _, again := snapshotParts(t, path); !bytes.Equal(again, evictedLog) {
 		t.Errorf("snapshot after restore changed the log:\nbefore %.300s\nafter  %.300s", evictedLog, again)
 	}
 }
@@ -135,7 +116,7 @@ func TestSnapshotLogLazy(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	path := askedSnapshot(t, dir, "lazy")
-	head, log := snapshotParts(t, path)
+	data, head, log := snapshotParts(t, path)
 	lines := bytes.SplitAfter(log, []byte("\n"))
 	prefix := fmt.Sprintf(`{"id":%d,`, head.LogFirst+1)
 	if !bytes.HasPrefix(lines[1], []byte(prefix)) {
@@ -143,7 +124,6 @@ func TestSnapshotLogLazy(t *testing.T) {
 	}
 	lines[1] = []byte(prefix + `"type":"op","step":"two"}` + "\n")
 	bad := bytes.Join(lines, nil)
-	data, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, append(data[:len(data)-len(log)], bad...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +146,7 @@ func TestSnapshotLogLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Flush()
-	if _, evictedLog := snapshotParts(t, path); !bytes.HasPrefix(evictedLog, bad) {
+	if _, _, evictedLog := snapshotParts(t, path); !bytes.HasPrefix(evictedLog, bad) {
 		t.Fatalf("eviction did not write the undecoded log back unchanged:\nwant prefix %.300s\ngot %.300s", bad, evictedLog)
 	}
 
@@ -231,10 +211,7 @@ func TestSnapshotSchema3Restores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, _, _ := snapshotParts(t, path)
 	var v3 snapshotV3
 	v3.Events = splitSnapshot(t, data, &v3)
 	v3.Schema = snapshotSchemaV3
@@ -274,7 +251,7 @@ func TestSnapshotSchema3Restores(t *testing.T) {
 	if _, err := m2.Snapshot(ctx, "three"); err != nil {
 		t.Fatal(err)
 	}
-	if head, _ := snapshotParts(t, path); head.Schema != snapshotSchema {
+	if _, head, _ := snapshotParts(t, path); head.Schema != snapshotSchema {
 		t.Errorf("snapshot after a schema-3 restore has schema %d, want %d", head.Schema, snapshotSchema)
 	}
 }
